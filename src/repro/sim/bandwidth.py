@@ -2,21 +2,44 @@
 
 :class:`FairShareServer` models a resource with a total service *rate*
 (CPU ops/s, disk bytes/s, link bytes/s) shared among all active jobs by
-weighted processor sharing with optional per-job rate caps (water-filling).
-It is the single modelling primitive behind SWEB's CPUs, disks, the Meiko
-fat-tree ports, the NOW's shared Ethernet bus, and WAN links.
+weighted processor sharing with optional per-job rate caps (max-min fair
+water-filling).  It is the single modelling primitive behind SWEB's CPUs,
+memory, disks, the Meiko fat-tree ports, the NOW's shared Ethernet bus,
+NICs and WAN links.
 
-The implementation is event-driven: whenever the set of active jobs (or the
-rate) changes, every job's remaining work is advanced using the allocation
-that was in force, a new allocation is computed, and a single wake-up timer
-is scheduled for the earliest completion.  Stale timers are ignored via a
-generation counter, so membership churn is O(n) per change and the server
-never scans jobs on a clock tick.
+The station is a GPS *virtual-time* server, so every operation costs
+O(log n) instead of a rescan of all n jobs:
+
+* **Free jobs** (not held at their cap) share a virtual clock ``V`` that
+  advances at ``level = (rate - sum of bound caps) / sum of free
+  weights``; a free job receives ``weight * level``.  Each free job
+  carries a finish tag ``F = V_submit + work / weight`` in a min-heap, and
+  completes when ``V`` reaches ``F``.
+* **Bound jobs** run at exactly their cap and carry an absolute finish
+  time ``T = t_bind + remaining / cap`` in a second min-heap.
+* **Cap crossings.**  Water-filling is a sequence of moves across the cap
+  boundary at the threshold ``(cap + eps) / weight``: bound jobs whose
+  threshold reaches the level are released (max-heap over bound jobs),
+  then free capped jobs whose threshold falls below it are pinned
+  (min-heap over free capped jobs).  Both moves only raise the level, so
+  the two passes end at the max-min fair point.  Heap entries carry the
+  job's epoch and are deleted lazily.
+* **One wake-up.**  At most one armed timer per station; it is re-armed
+  only when the earliest completion moves *earlier*.  A timer that fires
+  before anything is due just advances the clocks and re-arms.
+
+On the NOW bus every WAN response is capped at the client's modem rate
+below its fair share, so bound jobs are the common case there, not an
+exception.  Jobs that end together finish in submission order; the
+population, busy-time and work integrals are kept in O(1) per change, and
+``V`` is rebased to 0 whenever no free job remains.
 """
 
 from __future__ import annotations
 
 import math
+from heapq import heapify, heappop, heappush
+from operator import itemgetter
 from typing import Any, Optional
 
 from .engine import Event, Simulator
@@ -24,19 +47,27 @@ from .engine import Event, Simulator
 __all__ = ["Job", "FairShareServer"]
 
 _EPS = 1e-9
+_INF = math.inf
+
+# Job states.
+_FREE, _BOUND, _OUT = 0, 1, 2
+
+#: A heap entry: (key, submission seq, job epoch at push, job).  An entry is
+#: stale once the job's epoch has moved on.
+_Entry = tuple[float, int, int, "Job"]
 
 
 class Job:
     """One unit of work in service at a :class:`FairShareServer`."""
 
-    __slots__ = ("server", "work", "remaining", "weight", "cap", "tag",
-                 "done", "submitted_at", "finished_at", "_rate")
+    __slots__ = ("server", "work", "weight", "cap", "tag", "done",
+                 "submitted_at", "finished_at", "_state", "_key", "_epoch",
+                 "_seq", "_cap", "_bind_level", "_rem")
 
     def __init__(self, server: "FairShareServer", work: float, weight: float,
                  cap: Optional[float], tag: Any) -> None:
         self.server = server
         self.work = float(work)
-        self.remaining = float(work)
         self.weight = float(weight)
         self.cap = cap
         self.tag = tag
@@ -44,7 +75,30 @@ class Job:
         self.done: Event = Event(server.sim)
         self.submitted_at = server.sim.now
         self.finished_at: Optional[float] = None
-        self._rate = 0.0  # current allocated rate
+        self._state = _OUT
+        # Finish tag: virtual time F when free, absolute time T when bound.
+        self._key = 0.0
+        self._epoch = 0  # bumped on every move; stale heap entries differ
+        self._seq = 0    # submission order, the tie-break for completions
+        # The cap as a float (inf when uncapped) and the level at which it
+        # binds: the cap-crossing threshold (cap + eps) / weight.
+        self._cap = _INF if cap is None else float(cap)
+        self._bind_level = (self._cap + _EPS) / self.weight
+        self._rem = self.work  # remaining work while out of service
+
+    @property
+    def remaining(self) -> float:
+        """Work units still to serve, as of the current simulated time."""
+        state = self._state
+        if state == _FREE:
+            srv = self.server
+            v = srv._vtime + srv._level * (srv.sim.now - srv._last_update)
+            rem = self.weight * (self._key - v)
+        elif state == _BOUND:
+            rem = self._cap * (self._key - self.server.sim.now)
+        else:
+            return self._rem
+        return rem if rem > 0.0 else 0.0
 
     @property
     def progress(self) -> float:
@@ -56,11 +110,16 @@ class Job:
     @property
     def rate(self) -> float:
         """Service rate currently allocated to this job."""
-        return self._rate
+        state = self._state
+        if state == _FREE:
+            return self.weight * self.server._level
+        if state == _BOUND:
+            return self._cap
+        return 0.0
 
     def __repr__(self) -> str:
         return (f"<Job tag={self.tag!r} remaining={self.remaining:.3g}/"
-                f"{self.work:.3g} rate={self._rate:.3g}>")
+                f"{self.work:.3g} rate={self.rate:.3g}>")
 
 
 class FairShareServer:
@@ -82,13 +141,30 @@ class FairShareServer:
         self.sim = sim
         self.name = name
         self._rate = float(rate)
-        self._jobs: list[Job] = []
-        self._generation = 0
+        # Jobs in service, in submission order (a dict used as an ordered set).
+        self._jobs: dict[Job, None] = {}
+        self._seq = 0
         self._last_update = sim.now
+        # Free jobs: virtual clock, level (rate per unit weight), Σ weights.
+        self._vtime = 0.0
+        self._level = 0.0
+        self._wsum = 0.0
+        self._nfree = 0
+        self._free: list[_Entry] = []      # (F, seq, epoch, job)
+        self._capfree: list[_Entry] = []   # (bind level, ...) free capped
+        # Bound jobs: Σ caps and their heaps.
+        self._capsum = 0.0
+        self._nbound = 0
+        self._bound: list[_Entry] = []     # (T, seq, epoch, job)
+        self._boundmax: list[_Entry] = []  # (-bind level, ...) bound jobs
+        self._stale = 0  # detaches (stale heap entries) since compaction
+        # The single armed wake-up timer and the time it fires.
+        self._wake_ev: Optional[Event] = None
+        self._wake_at = _INF
         # Integrals for load/utilisation accounting (see sample helpers).
         self._pop_integral = 0.0   # ∫ n(t) dt
         self._busy_integral = 0.0  # ∫ [n(t) > 0] dt
-        self._work_done = 0.0      # total work completed
+        self._work_done = 0.0      # total work served
         self._jobs_completed = 0
 
     # -- public API ----------------------------------------------------------
@@ -104,7 +180,7 @@ class FairShareServer:
 
     @property
     def jobs(self) -> tuple[Job, ...]:
-        """Snapshot of the jobs currently in service."""
+        """Snapshot of the jobs currently in service, in submission order."""
         return tuple(self._jobs)
 
     @property
@@ -132,22 +208,35 @@ class FairShareServer:
             raise ValueError(f"cap must be > 0, got {cap}")
         self._advance()
         job = Job(self, work, weight, cap, tag)
-        if job.remaining <= _EPS:
-            self._finish(job)
+        if job.work <= _EPS:
+            job._rem = 0.0
+            job.finished_at = self.sim.now
+            self._jobs_completed += 1
+            job.done.succeed(job)
         else:
-            self._jobs.append(job)
-        self._reallocate()
+            self._seq = seq = self._seq + 1
+            job._seq = seq
+            self._jobs[job] = None
+            # Enter bound when the job stays bound at the level its own cap
+            # leaves the free jobs; _settle then moves only the others.
+            spare = self._rate - self._capsum - job._cap
+            if spare > _EPS and (not self._nfree
+                                 or job._bind_level < spare / self._wsum):
+                self._bind(job, job.work)
+            else:
+                self._free_job(job, job.work)
+        self._settle()
         return job
 
     def cancel(self, job: Job) -> None:
         """Abort a job; its ``done`` event fails with ``InterruptedError``."""
         self._advance()
-        if job in self._jobs:
-            self._jobs.remove(job)
-            job._rate = 0.0
+        if job.server is self and job._state != _OUT:
+            job._rem = job.remaining
+            self._remove(job)
             job.done.fail(InterruptedError(f"job {job.tag!r} cancelled"))
             job.done.defuse()
-        self._reallocate()
+        self._settle()
 
     def set_rate(self, rate: float) -> None:
         """Change the total service rate (e.g. node slowdown)."""
@@ -155,7 +244,7 @@ class FairShareServer:
             raise ValueError(f"rate must be >= 0, got {rate}")
         self._advance()
         self._rate = float(rate)
-        self._reallocate()
+        self._settle()
 
     def service_time(self, work: float) -> float:
         """Unloaded service time for ``work`` units (work / rate)."""
@@ -167,123 +256,239 @@ class FairShareServer:
     def population_integral(self) -> float:
         """∫ n(t) dt up to now; diff two readings for a window average."""
         self._advance()
-        self._reallocate()
+        self._settle()
         return self._pop_integral
 
     def busy_integral(self) -> float:
         """∫ [n(t) > 0] dt up to now (busy time)."""
         self._advance()
-        self._reallocate()
+        self._settle()
         return self._busy_integral
 
     # -- internals -------------------------------------------------------------
+    def _spare_level(self) -> float:
+        """Rate per unit weight left for free jobs by the bound caps: 0 when
+        no capacity is left over, inf when some is but no job is free."""
+        spare = self._rate - self._capsum
+        if spare <= _EPS:
+            return 0.0
+        if not self._nfree:
+            return _INF
+        return spare / self._wsum
+
+    def _free_job(self, job: Job, rem: float) -> None:
+        """Enter ``job`` into the free set with ``rem`` work to go."""
+        job._state = _FREE
+        job._epoch = epoch = job._epoch + 1
+        job._key = key = self._vtime + rem / job.weight
+        # The work integral serves the job up to its rounded tag; book the
+        # rounding now so the job adds exactly `rem` to work_completed.
+        self._work_done -= job.weight * (key - self._vtime) - rem
+        heappush(self._free, (key, job._seq, epoch, job))
+        if job._bind_level < _INF:
+            heappush(self._capfree, (job._bind_level, job._seq, epoch, job))
+        self._wsum += job.weight
+        self._nfree += 1
+
+    def _bind(self, job: Job, rem: float) -> None:
+        """Pin ``job`` at its cap with ``rem`` work to go."""
+        cap = job._cap
+        job._state = _BOUND
+        job._epoch = epoch = job._epoch + 1
+        now = self.sim._now
+        job._key = key = now + rem / cap
+        self._work_done -= cap * (key - now) - rem  # as in _free_job
+        heappush(self._bound, (key, job._seq, epoch, job))
+        heappush(self._boundmax, (-job._bind_level, job._seq, epoch, job))
+        self._capsum += cap
+        self._nbound += 1
+
+    def _detach(self, job: Job) -> None:
+        """Take ``job`` out of the free or bound set; its heap entries go
+        stale.  A set that empties restarts its sum from exact zero and
+        drops its heaps, and the virtual clock is rebased to 0 when no
+        free job remains."""
+        job._epoch += 1
+        self._stale += 1
+        if job._state == _FREE:
+            self._nfree -= 1
+            if self._nfree:
+                self._wsum -= job.weight
+            else:
+                self._wsum = self._vtime = 0.0
+                self._free.clear()
+                self._capfree.clear()
+        else:
+            self._nbound -= 1
+            if self._nbound:
+                self._capsum -= job._cap
+            else:
+                self._capsum = 0.0
+                self._bound.clear()
+                self._boundmax.clear()
+
+    def _remove(self, job: Job) -> None:
+        """Take ``job`` out of service."""
+        self._detach(job)
+        job._state = _OUT
+        del self._jobs[job]
+
     def _advance(self) -> None:
-        """Apply progress accrued since the last state change."""
-        now = self.sim.now
+        """Apply progress accrued since the last state change and finish
+        every job that ran out of work, in submission order."""
+        now = self.sim._now
         dt = now - self._last_update
         if dt <= 0:
             # Nothing can have progressed (or finished: every path that
-            # changes `remaining` runs the completion scan below itself).
+            # moves the clocks runs the completion check below itself).
             return
         self._last_update = now
-        jobs = self._jobs
-        n = len(jobs)
+        n = len(self._jobs)
         if not n:
             return
         self._pop_integral += n * dt
         self._busy_integral += dt
-        work_done = self._work_done
-        any_done = False
-        for job in jobs:
-            step = job._rate * dt
-            rem = job.remaining
-            if step > rem:
-                step = rem
-            job.remaining = rem - step
-            work_done += step
-            if rem - step <= _EPS * (job.work if job.work > 1.0 else 1.0):
-                any_done = True
-        self._work_done = work_done
-        # Complete any job that ran out of work exactly now.
-        if any_done:
-            finished = [j for j in jobs
-                        if j.remaining <= _EPS * max(1.0, j.work)]
-            for job in finished:
-                jobs.remove(job)
-                self._finish(job)
+        served = self._capsum
+        if self._nfree:
+            level = self._level
+            self._vtime += level * dt
+            served += level * self._wsum
+        self._work_done += served * dt
+        # Finish the jobs within tolerance of their tags.  A job served
+        # past its tag (a wake-up floored at 4 ulps) gives back the excess.
+        due: list[_Entry] = []
+        if self._nfree:
+            heap = self._free
+            v = self._vtime
+            while heap:
+                entry = heap[0]
+                job = entry[3]
+                if job._epoch != entry[2]:
+                    heappop(heap)
+                    continue
+                rem = job.weight * (entry[0] - v)
+                if rem > _EPS * (job.work if job.work > 1.0 else 1.0):
+                    break
+                due.append(heappop(heap))
+                if rem < 0.0:
+                    self._work_done += rem
+        if self._nbound:
+            heap = self._bound
+            while heap:
+                entry = heap[0]
+                job = entry[3]
+                if job._epoch != entry[2]:
+                    heappop(heap)
+                    continue
+                rem = job._cap * (entry[0] - now)
+                if rem > _EPS * (job.work if job.work > 1.0 else 1.0):
+                    break
+                due.append(heappop(heap))
+                if rem < 0.0:
+                    self._work_done += rem
+        if due:
+            if len(due) > 1:
+                due.sort(key=itemgetter(1))  # submission order
+            for entry in due:
+                job = entry[3]
+                self._remove(job)
+                job._rem = 0.0
+                job.finished_at = now
+                self._jobs_completed += 1
+                job.done.succeed(job)
 
-    def _finish(self, job: Job) -> None:
-        job.remaining = 0.0
-        job._rate = 0.0
-        job.finished_at = self.sim.now
-        self._jobs_completed += 1
-        job.done.succeed(job)
-
-    def _reallocate(self) -> None:
-        """Water-filling rate allocation, then schedule the next completion."""
-        self._generation += 1
-        jobs = self._jobs
-        if not jobs:
-            return
-        total = self._rate
-        for job in jobs:
-            if job.cap is not None:
-                break
-        else:
-            # Fast path: no capped job in service (the overwhelmingly
-            # common case) — the fair share is final on the first pass, so
-            # skip the iterative water-filling and its list copies.  The
-            # rate expression matches the general path bit for bit.
-            if total > _EPS:
-                wsum = sum(j.weight for j in jobs)
-                for j in jobs:
-                    j._rate = total * j.weight / wsum
-            else:
-                for j in jobs:
-                    j._rate = 0.0
-            self._schedule_wakeup()
-            return
-        pending = list(jobs)
-        # Fix capped jobs whose fair share exceeds their cap, iteratively.
-        for job in pending:
-            job._rate = 0.0
-        while pending and total > _EPS:
-            wsum = sum(j.weight for j in pending)
-            capped = [j for j in pending
-                      if j.cap is not None and total * j.weight / wsum > j.cap + _EPS]
-            if not capped:
-                for j in pending:
-                    j._rate = total * j.weight / wsum
-                total = 0.0
-                break
-            for j in capped:
-                j._rate = j.cap
-                total -= j.cap
-                pending.remove(j)
-            total = max(total, 0.0)
-        self._schedule_wakeup()
-
-    def _schedule_wakeup(self) -> None:
-        """Arm a timer for the earliest completion under the new rates."""
-        # Earliest completion under the new allocation.
-        soonest = math.inf
-        for job in self._jobs:
-            if job._rate > _EPS:
-                soonest = min(soonest, job.remaining / job._rate)
-        if math.isfinite(soonest):
+    def _settle(self) -> None:
+        """Restore the max-min fair allocation, then arm the wake-up for
+        the earliest completion if it is earlier than the one armed."""
+        level = self._spare_level()
+        # Heap tops bound every entry below them, stale ones included.
+        if ((self._boundmax and -self._boundmax[0][0] >= level)
+                or (self._capfree and self._capfree[0][0] < level)):
+            level = self._water_fill(level)
+        if not self._nfree:
+            level = 0.0
+        self._level = level
+        if self._stale > len(self._jobs) + 64:
+            self._compact()
+        delay = _INF
+        now = self.sim._now
+        if level > 0.0:
+            heap = self._free
+            while heap[0][3]._epoch != heap[0][2]:
+                heappop(heap)
+            delay = (heap[0][0] - self._vtime) / level
+        if self._nbound:
+            heap = self._bound
+            while heap[0][3]._epoch != heap[0][2]:
+                heappop(heap)
+            if heap[0][0] - now < delay:
+                delay = heap[0][0] - now
+        if now + delay < self._wake_at:
             # Floor the delay at the clock's float resolution: a delay below
             # one ulp of `now` would not advance time, and the wake-up would
             # re-arm itself forever (zero-dt livelock).
-            floor = 4.0 * math.ulp(max(1.0, self.sim.now))
-            gen = self._generation
-            timer = self.sim.timeout(max(soonest, floor))
-            timer.callbacks.append(lambda ev, gen=gen: self._wake(gen))
+            floor = 4.0 * math.ulp(max(1.0, now))
+            if delay < floor:
+                delay = floor
+            timer = self.sim.timeout(delay)
+            timer.callbacks.append(self._wake)
+            self._wake_ev = timer
+            self._wake_at = now + delay
 
-    def _wake(self, generation: int) -> None:
-        if generation != self._generation:
-            return  # state changed since this timer was armed
+    def _water_fill(self, level: float) -> float:
+        """Move jobs across the cap boundary until the allocation is
+        max-min fair; return the final level.
+
+        First release every bound job whose threshold the level has
+        reached (largest threshold first), then pin every free capped job
+        whose threshold the level has passed (smallest first).  Each move
+        raises the level, so no job moves back within one call.
+        """
+        now = self.sim._now
+        heap = self._boundmax
+        while heap:
+            neg_level, _, epoch, job = heap[0]
+            if job._epoch != epoch:
+                heappop(heap)
+            elif -neg_level >= level:
+                heappop(heap)
+                rem = job._cap * (job._key - now)
+                self._detach(job)
+                self._free_job(job, rem if rem > 0.0 else 0.0)
+                level = self._spare_level()
+            else:
+                break
+        heap = self._capfree
+        while heap:
+            bind_level, _, epoch, job = heap[0]
+            if job._epoch != epoch:
+                heappop(heap)
+            elif bind_level < level:
+                heappop(heap)
+                rem = job.weight * (job._key - self._vtime)
+                self._detach(job)
+                self._bind(job, rem if rem > 0.0 else 0.0)
+                level = self._spare_level()
+            else:
+                break
+        return level
+
+    def _compact(self) -> None:
+        """Drop stale heap entries, so lazy deletion keeps memory linear
+        in the number of jobs in service."""
+        for heap in (self._free, self._capfree, self._bound, self._boundmax):
+            heap[:] = [e for e in heap if e[3]._epoch == e[2]]
+            heapify(heap)
+        self._stale = 0
+
+    def _wake(self, timer: Event) -> None:
+        if timer is not self._wake_ev:
+            return  # superseded by an earlier wake-up
+        self._wake_ev = None
+        self._wake_at = _INF
         self._advance()
-        self._reallocate()
+        self._settle()
 
     def __repr__(self) -> str:
         return f"<FairShareServer {self.name!r} rate={self._rate:.3g} njobs={self.njobs}>"
+
