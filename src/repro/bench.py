@@ -31,8 +31,8 @@ Tier phases (``--scale {S,M,L,XL}``, see :data:`TIERS` and
 * ``shard_grid@T``    — a seeds-grid through the sharded runner
   (:func:`repro.experiments.run_grid`) including the snapshot merge;
 * ``sched_tournament@T`` — the X11 policy × cluster × popularity grid
-  (every fluid decision kernel, homogeneous and heterogeneous), the
-  stress test for the per-policy stepper dispatch;
+  (every fluid choice rule, homogeneous and heterogeneous), the
+  stress test for the shared fluid batch loop and its choice rules;
 * ``fuzz_smoke@T``    — a seeded ``repro.fuzz`` campaign (generator →
   executor → oracle over whole random deployments), rated in cases/s —
   tracks the cost of the tier-1 fuzz gate;

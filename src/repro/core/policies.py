@@ -18,12 +18,13 @@ left, in speed-normalised seconds), and **chash** (locality-aware
 rendezvous hashing with a bounded-load spill).
 
 The canonical list of names lives in :mod:`repro.sched.registry`; this
-module implements the ``per_client=True`` subset as strategy objects.
+module implements the ``per_client=True`` subset as strategy objects that
+share one ``decide`` scaffold and differ only in their ``pick`` rule.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
 from ..sched import per_client_policy_names, preference_order
 from ..sim import RandomStreams
@@ -58,46 +59,76 @@ class SchedulingPolicy:
     """Decides which node serves a request that DNS delivered to ``broker.node_id``.
 
     Every policy answers through the broker's :class:`BrokerDecision`
-    shape so the server code is policy-agnostic; only SWEB actually runs
-    the cost model.
+    shape so the server code is policy-agnostic.  :meth:`decide` is the
+    one scaffold: it characterises the request, lists the nodes the
+    (possibly stale) loadd view believes available — none means stay
+    local — asks :meth:`pick` for one, and for load-reading policies
+    (``consults_broker``) Δ-inflates a redirect target (§3.2).
+    Subclasses supply only :meth:`pick`; SWEB overrides :meth:`decide`
+    with the broker's own cost-model argmin.
     """
 
     name = "abstract"
-    #: whether the server should charge broker-analysis CPU time
+    #: whether the server should charge broker-analysis CPU time; the
+    #: load-reading policies also Δ-inflate their redirect targets
     consults_broker = False
+    #: whether :meth:`pick` chooses among the loadd view's available
+    #: nodes (otherwise it receives an empty candidate list)
+    reads_view = True
+
+    def __init__(self, rng: Optional[RandomStreams] = None) -> None:
+        self.rng = rng or RandomStreams(seed=0)
 
     def decide(self, broker: Broker, path: str,
                client_latency: float) -> BrokerDecision:
-        raise NotImplementedError
-
-    def _trivial(self, broker: Broker, path: str, chosen: int) -> BrokerDecision:
         file_size = broker.fs.locate(path).size if broker.fs.exists(path) else 0.0
         task = broker.oracle.characterize(path, file_size)
-        return BrokerDecision(chosen=chosen, local=broker.node_id,
-                              estimates=(), task=task)
+        candidates = (broker.view.available(broker.sim.now)
+                      if self.reads_view else [])
+        chosen = (self.pick(broker, path, candidates, task)
+                  if candidates or not self.reads_view else broker.node_id)
+        decision = BrokerDecision(chosen=chosen, local=broker.node_id,
+                                  estimates=(), task=task)
+        if self.consults_broker and decision.redirected:
+            broker.view.inflate_cpu(chosen, broker.cost_model.params.delta)
+        return decision
+
+    def pick(self, broker: Broker, path: str,
+             candidates: list[LoadSnapshot], task: TaskEstimate) -> int:
+        """The policy's rule: the node that should serve ``path``."""
+        raise NotImplementedError
+
+
+def _least(broker: Broker, candidates: list[LoadSnapshot],
+           load: Callable[[LoadSnapshot], float]) -> int:
+    """The candidate with the least ``load``; ties prefer the local node,
+    then the lowest id."""
+    return min(candidates,
+               key=lambda s: (load(s), s.node != broker.node_id, s.node)).node
 
 
 class RoundRobinPolicy(SchedulingPolicy):
     """Serve wherever DNS rotation landed the request (NCSA's approach)."""
 
     name = "round-robin"
+    reads_view = False
 
-    def decide(self, broker: Broker, path: str,
-               client_latency: float) -> BrokerDecision:
-        return self._trivial(broker, path, broker.node_id)
+    def pick(self, broker: Broker, path: str,
+             candidates: list[LoadSnapshot], task: TaskEstimate) -> int:
+        return broker.node_id
 
 
 class FileLocalityPolicy(SchedulingPolicy):
     """Always move the request to the node owning the file."""
 
     name = "file-locality"
+    reads_view = False
 
-    def decide(self, broker: Broker, path: str,
-               client_latency: float) -> BrokerDecision:
-        chosen = broker.node_id
+    def pick(self, broker: Broker, path: str,
+             candidates: list[LoadSnapshot], task: TaskEstimate) -> int:
         if broker.fs.exists(path):
-            chosen = broker.fs.locate(path).home
-        return self._trivial(broker, path, chosen)
+            return broker.fs.locate(path).home
+        return broker.node_id
 
 
 class SWEBPolicy(SchedulingPolicy):
@@ -122,19 +153,9 @@ class CPUOnlyPolicy(SchedulingPolicy):
     name = "cpu-only"
     consults_broker = True
 
-    def decide(self, broker: Broker, path: str,
-               client_latency: float) -> BrokerDecision:
-        now = broker.sim.now
-        candidates = broker.view.available(now)
-        if not candidates:
-            return self._trivial(broker, path, broker.node_id)
-        best = min(candidates,
-                   key=lambda s: (s.cpu_load / s.cpu_speed,
-                                  s.node != broker.node_id, s.node))
-        decision = self._trivial(broker, path, best.node)
-        if decision.redirected:
-            broker.view.inflate_cpu(best.node, broker.cost_model.params.delta)
-        return decision
+    def pick(self, broker: Broker, path: str,
+             candidates: list[LoadSnapshot], task: TaskEstimate) -> int:
+        return _least(broker, candidates, lambda s: s.cpu_load / s.cpu_speed)
 
 
 class RandomPolicy(SchedulingPolicy):
@@ -142,17 +163,10 @@ class RandomPolicy(SchedulingPolicy):
 
     name = "random"
 
-    def __init__(self, rng: Optional[RandomStreams] = None) -> None:
-        self.rng = rng or RandomStreams(seed=0)
-
-    def decide(self, broker: Broker, path: str,
-               client_latency: float) -> BrokerDecision:
-        now = broker.sim.now
-        candidates = broker.view.available(now)
-        if not candidates:
-            return self._trivial(broker, path, broker.node_id)
-        idx = self.rng.integers("random-policy", 0, len(candidates))
-        return self._trivial(broker, path, candidates[idx].node)
+    def pick(self, broker: Broker, path: str,
+             candidates: list[LoadSnapshot], task: TaskEstimate) -> int:
+        return candidates[self.rng.integers("random-policy", 0,
+                                            len(candidates))].node
 
 
 class JoinShortestQueuePolicy(SchedulingPolicy):
@@ -167,19 +181,9 @@ class JoinShortestQueuePolicy(SchedulingPolicy):
     name = "jsq"
     consults_broker = True
 
-    def decide(self, broker: Broker, path: str,
-               client_latency: float) -> BrokerDecision:
-        now = broker.sim.now
-        candidates = broker.view.available(now)
-        if not candidates:
-            return self._trivial(broker, path, broker.node_id)
-        best = min(candidates,
-                   key=lambda s: (_job_count(s),
-                                  s.node != broker.node_id, s.node))
-        decision = self._trivial(broker, path, best.node)
-        if decision.redirected:
-            broker.view.inflate_cpu(best.node, broker.cost_model.params.delta)
-        return decision
+    def pick(self, broker: Broker, path: str,
+             candidates: list[LoadSnapshot], task: TaskEstimate) -> int:
+        return _least(broker, candidates, _job_count)
 
 
 class PowerOfTwoPolicy(SchedulingPolicy):
@@ -193,28 +197,15 @@ class PowerOfTwoPolicy(SchedulingPolicy):
     name = "po2"
     consults_broker = True
 
-    def __init__(self, rng: Optional[RandomStreams] = None) -> None:
-        self.rng = rng or RandomStreams(seed=0)
-
-    def decide(self, broker: Broker, path: str,
-               client_latency: float) -> BrokerDecision:
-        now = broker.sim.now
-        candidates = broker.view.available(now)
-        if not candidates:
-            return self._trivial(broker, path, broker.node_id)
+    def pick(self, broker: Broker, path: str,
+             candidates: list[LoadSnapshot], task: TaskEstimate) -> int:
         if len(candidates) == 1:
-            return self._trivial(broker, path, candidates[0].node)
+            return candidates[0].node
         i = self.rng.integers("po2-policy", 0, len(candidates))
         j = self.rng.integers("po2-policy", 0, len(candidates) - 1)
         if j >= i:                       # second sample over the rest
             j += 1
-        best = min(candidates[i], candidates[j],
-                   key=lambda s: (_job_count(s),
-                                  s.node != broker.node_id, s.node))
-        decision = self._trivial(broker, path, best.node)
-        if decision.redirected:
-            broker.view.inflate_cpu(best.node, broker.cost_model.params.delta)
-        return decision
+        return _least(broker, [candidates[i], candidates[j]], _job_count)
 
 
 class LeastWorkLeftPolicy(SchedulingPolicy):
@@ -232,30 +223,14 @@ class LeastWorkLeftPolicy(SchedulingPolicy):
     name = "lwl"
     consults_broker = True
 
-    def decide(self, broker: Broker, path: str,
-               client_latency: float) -> BrokerDecision:
-        now = broker.sim.now
-        candidates = broker.view.available(now)
-        if not candidates:
-            return self._trivial(broker, path, broker.node_id)
-        file_size = (broker.fs.locate(path).size
-                     if broker.fs.exists(path) else 0.0)
-        task = broker.oracle.characterize(path, file_size)
+    def pick(self, broker: Broker, path: str,
+             candidates: list[LoadSnapshot], task: TaskEstimate) -> int:
         cpu_ops = max(task.cpu_ops, 1.0)
         disk_bytes = max(task.disk_bytes, 0.0)
-
-        def backlog_seconds(s: LoadSnapshot) -> float:
-            return (s.cpu_load * cpu_ops / s.cpu_speed
-                    + s.disk_load * disk_bytes / s.disk_bandwidth)
-
-        best = min(candidates,
-                   key=lambda s: (backlog_seconds(s),
-                                  s.node != broker.node_id, s.node))
-        decision = BrokerDecision(chosen=best.node, local=broker.node_id,
-                                  estimates=(), task=task)
-        if decision.redirected:
-            broker.view.inflate_cpu(best.node, broker.cost_model.params.delta)
-        return decision
+        return _least(broker, candidates,
+                      lambda s: (s.cpu_load * cpu_ops / s.cpu_speed
+                                 + s.disk_load * disk_bytes
+                                 / s.disk_bandwidth))
 
 
 class ConsistentHashPolicy(SchedulingPolicy):
@@ -272,52 +247,35 @@ class ConsistentHashPolicy(SchedulingPolicy):
     name = "chash"
     consults_broker = True
 
-    def decide(self, broker: Broker, path: str,
-               client_latency: float) -> BrokerDecision:
-        now = broker.sim.now
-        candidates = broker.view.available(now)
-        if not candidates:
-            return self._trivial(broker, path, broker.node_id)
+    def pick(self, broker: Broker, path: str,
+             candidates: list[LoadSnapshot], task: TaskEstimate) -> int:
         counts = {s.node: _job_count(s) for s in candidates}
         bound = 2.0 * (sum(counts.values()) / len(counts)) + 1.0
-        order = preference_order(path, len(broker.fs.nodes))
-        chosen = None
-        for node in order:
+        owner = None
+        for node in preference_order(path, len(broker.fs.nodes)):
             if node not in counts:
                 continue
-            if chosen is None:           # owner = first available in order
-                chosen = node
+            if owner is None:            # owner = first available in order
+                owner = node
             if counts[node] <= bound:
-                chosen = node
-                break
-        if chosen is None:
-            chosen = candidates[0].node
-        decision = self._trivial(broker, path, chosen)
-        if decision.redirected:
-            broker.view.inflate_cpu(chosen, broker.cost_model.params.delta)
-        return decision
+                return node
+        return owner if owner is not None else candidates[0].node
 
 
 #: Per-client policy names, in canonical order — derived from the
 #: registry (:mod:`repro.sched.registry`), never hand-listed.
 POLICY_NAMES = per_client_policy_names()
 
+#: name -> policy class, built once from each class's ``name``
+_BY_NAME: dict[str, type[SchedulingPolicy]] = {
+    cls.name: cls for cls in (
+        RoundRobinPolicy, FileLocalityPolicy, SWEBPolicy, CPUOnlyPolicy,
+        RandomPolicy, JoinShortestQueuePolicy, PowerOfTwoPolicy,
+        LeastWorkLeftPolicy, ConsistentHashPolicy)}
+
 
 def make_policy(name: str, rng: Optional[RandomStreams] = None) -> SchedulingPolicy:
     """Factory used by experiment configs."""
-    table = {
-        "round-robin": RoundRobinPolicy,
-        "file-locality": FileLocalityPolicy,
-        "sweb": SWEBPolicy,
-        "cpu-only": CPUOnlyPolicy,
-        "jsq": JoinShortestQueuePolicy,
-        "lwl": LeastWorkLeftPolicy,
-        "chash": ConsistentHashPolicy,
-    }
-    if name == "random":
-        return RandomPolicy(rng=rng)
-    if name == "po2":
-        return PowerOfTwoPolicy(rng=rng)
-    if name not in table:
+    if name not in _BY_NAME:
         raise ValueError(f"unknown policy {name!r}; choose from {POLICY_NAMES}")
-    return table[name]()
+    return _BY_NAME[name](rng=rng)

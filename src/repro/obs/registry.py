@@ -48,12 +48,12 @@ LATENCY_BUCKETS: tuple[float, ...] = exponential_buckets(1e-3, 2.0, 18)
 
 
 class CounterGroup:
-    """Named integer counters, API-compatible with ``sim.stats.Counter``.
+    """Named integer counters (``incr`` / ``[]`` / ``as_dict``).
 
     Lives inside a registry under a namespace so subsystem counters
-    (requests, drops, redirects...) appear in the shared snapshot while
-    existing call sites (``incr`` / ``[]`` / ``as_dict``) keep working
-    unchanged — the determinism golden compares ``as_dict()`` verbatim.
+    (requests, drops, redirects...) appear in the shared snapshot; a
+    missing key reads as 0, and the determinism golden compares
+    ``as_dict()`` verbatim.
     """
 
     def __init__(self, namespace: str = "") -> None:

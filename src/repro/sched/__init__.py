@@ -3,8 +3,8 @@ deterministic hashing shared by both client-population models.
 
 This layer holds the pieces of the scheduler zoo that are *model-
 independent*: the canonical policy registry (:mod:`registry`) that the
-per-client strategies (``repro.core.policies``), the fluid decision
-kernels (``repro.workload.fluid``), the CLI and the docs gate all
+per-client strategies (``repro.core.policies``), the fluid choice
+rules (``repro.workload.fluid``), the CLI and the docs gate all
 validate against; the per-node :class:`SpeedFactors` heterogeneity
 model (:mod:`speed`) applied identically to ``ClusterSpec`` hardware
 and to fluid service times; and the rendezvous hash (:mod:`hashring`)

@@ -36,7 +36,7 @@ class PolicyInfo:
     complexity: str
     #: implemented as a per-client strategy object (repro.core.policies)
     per_client: bool = True
-    #: implemented as a fluid-model decision kernel (repro.workload.fluid)
+    #: implemented as a fluid-model choice rule (repro.workload.fluid)
     fluid: bool = False
 
 

@@ -9,8 +9,7 @@ Public surface:
 * :class:`FairShareServer` — processor-sharing stations, the model behind
   CPUs, disks and links (:mod:`repro.sim.bandwidth`).
 * :class:`RandomStreams` — deterministic named substreams.
-* :class:`Tally`, :class:`TimeWeighted`, :class:`Counter`,
-  :class:`PhaseAccumulator`, :class:`Summary` — metrics.
+* :class:`Tally`, :class:`PhaseAccumulator`, :class:`Summary` — metrics.
 * :class:`Trace` — structured event log.
 """
 
@@ -30,7 +29,7 @@ from .bandwidth import FairShareServer, Job
 from .monitor import Monitor, ascii_series, ascii_sparkline
 from .resources import Container, Resource, Store
 from .rng import RandomStreams
-from .stats import Counter, PhaseAccumulator, Summary, Tally, TimeWeighted
+from .stats import PhaseAccumulator, Summary, Tally
 from .streamnames import STREAM_NAMES, crc32_key, stream_collisions
 from .trace import DETAIL as TRACE_DETAIL
 from .trace import SUMMARY as TRACE_SUMMARY
@@ -40,7 +39,6 @@ __all__ = [
     "AllOf",
     "AnyOf",
     "Container",
-    "Counter",
     "Event",
     "FairShareServer",
     "Interrupt",
@@ -59,7 +57,6 @@ __all__ = [
     "TRACE_DETAIL",
     "TRACE_SUMMARY",
     "Tally",
-    "TimeWeighted",
     "Timeout",
     "Trace",
     "TraceRecord",

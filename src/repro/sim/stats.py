@@ -1,4 +1,4 @@
-"""Measurement helpers: summaries, time-weighted values, counters.
+"""Measurement helpers: summaries, tallies and per-phase accumulators.
 
 The experiment harness reports the same quantities the paper does —
 average response time, drop rate, maximum sustained rps, per-phase cost
@@ -9,8 +9,8 @@ these primitives.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -20,7 +20,7 @@ import numpy as np
 # disagree about what "p95" means.
 from ..obs.percentiles import percentiles as _percentiles
 
-__all__ = ["Summary", "Tally", "TimeWeighted", "Counter", "PhaseAccumulator"]
+__all__ = ["Summary", "Tally", "PhaseAccumulator"]
 
 
 @dataclass(frozen=True)
@@ -94,70 +94,6 @@ class Tally:
 
     def __repr__(self) -> str:
         return f"<Tally {self.name!r} n={self.count} mean={self.mean:.4g}>"
-
-
-class TimeWeighted:
-    """A piecewise-constant signal with time-weighted averaging.
-
-    ``update(t, v)`` sets the value at time ``t``; ``average(t0, t1)`` is the
-    exact time-weighted mean over the window (used for CPU load averages
-    seen by ``loadd``).
-    """
-
-    def __init__(self, initial: float = 0.0, at: float = 0.0) -> None:
-        self._times: list[float] = [float(at)]
-        self._values: list[float] = [float(initial)]
-
-    @property
-    def current(self) -> float:
-        return self._values[-1]
-
-    def update(self, t: float, value: float) -> None:
-        if t < self._times[-1] - 1e-12:
-            raise ValueError("time must be non-decreasing")
-        if value == self._values[-1]:
-            return
-        self._times.append(float(t))
-        self._values.append(float(value))
-
-    def add(self, t: float, delta: float) -> None:
-        self.update(t, self._values[-1] + delta)
-
-    def value_at(self, t: float) -> float:
-        idx = int(np.searchsorted(self._times, t, side="right")) - 1
-        idx = max(idx, 0)
-        return self._values[idx]
-
-    def average(self, t0: float, t1: float) -> float:
-        if t1 <= t0:
-            return self.value_at(t0)
-        times = np.asarray(self._times)
-        values = np.asarray(self._values)
-        # Integrate the step function over [t0, t1].
-        edges = np.concatenate(([t0], times[(times > t0) & (times < t1)], [t1]))
-        idx = np.searchsorted(times, edges[:-1], side="right") - 1
-        idx = np.clip(idx, 0, len(values) - 1)
-        widths = np.diff(edges)
-        return float(np.sum(values[idx] * widths) / (t1 - t0))
-
-
-class Counter:
-    """Named integer counters (drops, redirects, cache hits...)."""
-
-    def __init__(self) -> None:
-        self._counts: dict[str, int] = {}
-
-    def incr(self, key: str, by: int = 1) -> None:
-        self._counts[key] = self._counts.get(key, 0) + by
-
-    def __getitem__(self, key: str) -> int:
-        return self._counts.get(key, 0)
-
-    def as_dict(self) -> dict[str, int]:
-        return dict(self._counts)
-
-    def __repr__(self) -> str:
-        return f"<Counter {self._counts!r}>"
 
 
 class PhaseAccumulator:

@@ -45,8 +45,8 @@ STREAM_NAMES: dict[str, str] = {
     "fluid-arrivals": "per-step Poisson arrival counts",
     "fluid-paths": "batched path-index draws for fluid cells",
     "fluid-sizes": "response-size draws for the fluid service tables",
-    "fluid-choice": "random-policy node picks in the fluid stepper",
-    "fluid-po2": "power-of-two candidate pairs in the fluid stepper",
+    "fluid-choice": "random-policy node picks, drawn per fluid batch",
+    "fluid-po2": "power-of-two candidate pairs, drawn per fluid batch",
     # core/policies.py — per-client scheduling strategies
     "random-policy": "uniform node pick for the random strategy",
     "po2-policy": "two-candidate sampling for power-of-two-choices",

@@ -72,8 +72,7 @@ class Metrics:
         #: (SWEBCluster always passes the cluster's shared registry)
         self.registry = registry if registry is not None else MetricsRegistry()
         #: request-lifecycle counters, registered as the ``http.*``
-        #: namespace of :attr:`registry` (same incr/[]/as_dict API the
-        #: old ad-hoc ``sim.stats.Counter`` had)
+        #: namespace of :attr:`registry` (``incr`` / ``[]`` / ``as_dict``)
         self.counters = self.registry.counters("http")
         #: completed-request latency histogram (fixed buckets, so p50 /
         #: p95 / p99 are available without rescanning the records)

@@ -34,10 +34,11 @@ requests complete in seconds (``sweb-repro bench --scale L``).
 from __future__ import annotations
 
 import hashlib
+import math
 from array import array
 from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -88,7 +89,7 @@ class FluidScenario:
     #: rounding at the ULP level, so two runs are bit-identical only at
     #: the same batch (docs/SCALING.md)
     batch: int = 65_536
-    #: which decision kernel routes requests — any name in
+    #: which choice rule routes requests — any name in
     #: ``repro.sched.fluid_policy_names()`` (docs/SCHEDULING.md)
     policy: str = "sweb"
     #: optional per-node speed multipliers on the homogeneous baseline
@@ -113,7 +114,7 @@ class FluidScenario:
         return replace(self, seed=seed)
 
     def with_policy(self, policy: str) -> "FluidScenario":
-        """The same cell under a different decision kernel."""
+        """The same cell under a different choice rule."""
         return replace(self, policy=policy)
 
     def with_speed_factors(self, factors: SpeedFactors) -> "FluidScenario":
@@ -125,8 +126,19 @@ class FluidScenario:
         """Raise ``ValueError`` on a malformed cell."""
         if self.nodes < 1:
             raise ValueError(f"nodes must be >= 1, got {self.nodes}")
-        if self.rate <= 0:
-            raise ValueError(f"rate must be > 0, got {self.rate}")
+        for name in ("rate", "mean_file_bytes", "disk_bps", "mem_bps"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0, "
+                                 f"got {value}")
+        for name in ("t_cpu", "t_redirect"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, "
+                                 f"got {value}")
+        if self.alpha is not None and not math.isfinite(self.alpha):
+            raise ValueError(f"alpha must be finite or None, "
+                             f"got {self.alpha}")
         if self.n_requests < 1:
             raise ValueError(f"n_requests must be >= 1, "
                              f"got {self.n_requests}")
@@ -148,8 +160,9 @@ class FluidScenario:
             if len(factors) != self.nodes:
                 raise ValueError(f"{kind} must have one entry per node "
                                  f"({self.nodes}), got {len(factors)}")
-            if any(f <= 0 for f in factors):
-                raise ValueError(f"{kind} must be > 0, got {factors}")
+            if not all(math.isfinite(f) and f > 0 for f in factors):
+                raise ValueError(f"{kind} must be finite and > 0, "
+                                 f"got {factors}")
 
 
 class FluidRequest:
@@ -242,79 +255,210 @@ class FluidResult:
                 f"mean_rt={hist.mean:.4f}s")
 
 
-def _service_times(scenario: FluidScenario,
-                   rng: RandomStreams) -> Sequence[float]:
-    """Per-path service time: fixed CPU cost + size over the medium rate.
+def _service_rows(scenario: FluidScenario,
+                  rng: RandomStreams) -> "list[list[float]]":
+    """Per-path service times: ``rows[rank][node]``.
 
     Sizes draw once per path from the ``fluid-sizes`` substream; the
-    ``hot_set`` most popular ranks are priced at memory bandwidth, the
-    tail at disk bandwidth.
-    """
-    service, _ = _service_tables(scenario, rng)
-    return service
-
-
-def _service_tables(
-        scenario: FluidScenario, rng: RandomStreams,
-) -> "tuple[list[float], Optional[list[list[float]]]]":
-    """Baseline per-path service times, plus per-node tables when
-    heterogeneous.
-
-    The baseline list is computed with *exactly* the homogeneous
-    arithmetic (one ``fluid-sizes`` draw, one vectorised expression) so
-    homogeneous runs keep their historical fingerprints.  On a
-    heterogeneous scenario the second element holds one list per node:
-    ``by_node[j][rank]`` prices the CPU cost at ``cpu_factors[j]`` and
-    the transfer at the node's own RAM/disk bandwidth factor.
+    ``hot_set`` most popular ranks move at memory bandwidth, the tail at
+    disk bandwidth.  Each entry prices the fixed CPU cost at the node's
+    ``cpu_factors`` entry and the transfer at its RAM/disk factor.  A
+    homogeneous cell uses unit factors, and dividing or multiplying by
+    1.0 is exact, so each of its rows repeats the historical homogeneous
+    service time bit for bit.
     """
     gen = rng.stream("fluid-sizes")
     sizes = gen.exponential(scenario.mean_file_bytes,
                             size=scenario.n_paths)
-    rates = np.full(scenario.n_paths, scenario.disk_bps)
-    rates[:scenario.hot_set] = scenario.mem_bps
-    service = (scenario.t_cpu + sizes / rates).tolist()
-    if not scenario.heterogeneous:
-        return service, None
-    n = scenario.nodes
-    cpu_f = scenario.cpu_factors or (1.0,) * n
-    disk_f = scenario.disk_factors or (1.0,) * n
-    mem_f = scenario.mem_factors or (1.0,) * n
-    hot = np.zeros(scenario.n_paths, dtype=bool)
-    hot[:scenario.hot_set] = True
-    by_node = []
-    for j in range(n):
-        medium = np.where(hot, mem_f[j], disk_f[j])
-        by_node.append(
-            (scenario.t_cpu / cpu_f[j] + sizes / (rates * medium)).tolist())
-    return service, by_node
+    unit = (1.0,) * scenario.nodes
+    cpu_f = np.asarray(scenario.cpu_factors or unit, dtype=float)
+    disk_f = np.asarray(scenario.disk_factors or unit, dtype=float)
+    mem_f = np.asarray(scenario.mem_factors or unit, dtype=float)
+    hot = (np.arange(scenario.n_paths) < scenario.hot_set)[:, None]
+    bandwidth = np.where(hot, scenario.mem_bps * mem_f,
+                         scenario.disk_bps * disk_f)
+    return (scenario.t_cpu / cpu_f + sizes[:, None] / bandwidth).tolist()
+
+
+def _choice_rule(scenario: FluidScenario, rng: RandomStreams,
+                 busy: "list[float]"):
+    """The policy's choice rule for the shared batch loop: ``(choose, draw)``.
+
+    ``choose(arrival, home, row, rank) -> node`` picks the serving node
+    from the true busy clocks, given the request's DNS home, its
+    service-time row (one entry per node) and its path rank.  ``draw(m)``,
+    when not None, runs once per batch of ``m`` arrivals to pre-draw the
+    rule's samples from its own substream (``fluid-choice``,
+    ``fluid-po2``), which never perturbs the arrival, path or size draws
+    of existing runs.
+    """
+    policy = scenario.policy
+    n_nodes = scenario.nodes
+    node_range = range(n_nodes)
+    draw = None
+
+    if policy == "sweb":
+        # Broker argmin over estimated completions, each node priced at
+        # its own service time; moving off the DNS home costs the
+        # redirect penalty.
+        t_redirect = scenario.t_redirect
+
+        def choose(a, home, row, rank):
+            best = home
+            b = busy[home]
+            best_score = (b if b > a else a) + row[home]
+            for j in node_range:
+                if j == home:
+                    continue
+                b = busy[j]
+                score = (b if b > a else a) + row[j] + t_redirect
+                if score < best_score:
+                    best_score = score
+                    best = j
+            return best
+
+    elif policy == "round-robin":
+        def choose(a, home, row, rank):
+            return home
+
+    elif policy == "random":
+        choice_gen = rng.stream("fluid-choice")
+        picks: Iterator[int] = iter(())
+
+        def draw(m):
+            nonlocal picks
+            picks = iter(choice_gen.integers(0, n_nodes, size=m).tolist())
+
+        def choose(a, home, row, rank):
+            return next(picks)
+
+    elif policy in ("jsq", "po2"):
+        # Per-node FIFO queues of finish times: finishes are appended in
+        # nondecreasing order (busy clocks only advance), so draining
+        # the front past the arrival instant is amortised O(1) and
+        # len(queue) is the exact in-service job count.
+        queues = [deque() for _ in node_range]
+
+        def count(j, a):
+            q = queues[j]
+            while q and q[0] <= a:
+                q.popleft()
+            return len(q)
+
+        def join(j, a, row):
+            # book the finish the batch loop is about to give this request
+            b = busy[j]
+            queues[j].append((b if b > a else a) + row[j])
+            return j
+
+        if policy == "jsq":
+            def choose(a, home, row, rank):
+                best = home
+                best_count = count(home, a)
+                for j in node_range:
+                    if j == home:
+                        continue
+                    c = count(j, a)
+                    if c < best_count:
+                        best_count = c
+                        best = j
+                return join(best, a, row)
+        else:
+            po2_gen = rng.stream("fluid-po2")
+            pairs: Iterator[tuple[int, int]] = iter(())
+
+            def draw(m):
+                nonlocal pairs
+                if n_nodes == 1:
+                    pairs = iter([(0, 0)] * m)
+                else:
+                    pairs = zip(
+                        po2_gen.integers(0, n_nodes, size=m).tolist(),
+                        po2_gen.integers(0, n_nodes - 1, size=m).tolist())
+
+            def choose(a, home, row, rank):
+                x, y = next(pairs)
+                if y >= x and n_nodes > 1:  # second sample over the rest
+                    y += 1
+                return join(y if count(y, a) < count(x, a) else x, a, row)
+
+    elif policy == "lwl":
+        # Outstanding work in seconds; busy clocks already run in each
+        # node's own time, so the comparison is speed-normalised for
+        # free on heterogeneous clusters.
+        def choose(a, home, row, rank):
+            best = home
+            w = busy[home] - a
+            best_w = w if w > 0.0 else 0.0
+            for j in node_range:
+                if j == home:
+                    continue
+                w = busy[j] - a
+                if w < 0.0:
+                    w = 0.0
+                if w < best_w:
+                    best_w = w
+                    best = j
+            return best
+
+    elif policy == "chash":
+        prefs = rank_preferences(scenario.n_paths, n_nodes)
+        inv_n = 1.0 / n_nodes
+
+        def choose(a, home, row, rank):
+            total_w = 0.0
+            for j in node_range:
+                w = busy[j] - a
+                if w > 0.0:
+                    total_w += w
+            mean_w = total_w * inv_n
+            # Bounded load: the owner keeps the request unless its
+            # backlog exceeds twice the cluster mean plus the request
+            # itself; then walk the spill order.
+            order = prefs[rank]
+            for j in order:
+                w = busy[j] - a
+                if w < 0.0:
+                    w = 0.0
+                if w <= 2.0 * mean_w + row[j]:
+                    return j
+            return order[0]
+
+    else:
+        raise ValueError(f"no fluid choice rule for policy {policy!r}")
+    return choose, draw
 
 
 def _make_stepper(scenario: FluidScenario, rng: RandomStreams,
-                  service: "list[float]",
-                  service_by: "Optional[list[list[float]]]",
+                  rows: "list[list[float]]",
                   busy: "list[float]", served: "list[int]"):
-    """Build the per-batch decision kernel for ``scenario.policy``.
+    """Build the per-batch loop for ``scenario.policy``.
 
-    Each stepper consumes one arrival batch and fills the latency /
-    node / redirected columns, advancing the shared ``busy`` clocks and
-    ``served`` counters.  The round-robin DNS cursor and any
-    policy-private state (queue deques, extra RNG substreams, hash
-    preference tables) live in the closure, carried across batches.
+    The loop consumes one arrival batch and fills the latency / node /
+    redirected columns, advancing the shared ``busy`` clocks and
+    ``served`` counters; the round-robin DNS cursor lives in the
+    closure, carried across batches.  Every (policy, cluster) pair runs
+    the shared loop around its choice rule (:func:`_choice_rule`), except
+    one.
 
-    The homogeneous ``sweb`` stepper is the historical inner loop moved
-    verbatim — identical float operations in identical order — so
-    pre-zoo fingerprints are preserved bit for bit (pinned by
-    ``tests/test_sched_policies.py``).  New policies draw only from
-    *new* named substreams (``fluid-po2``, ``fluid-choice``), which
-    never perturbs the arrival/path/size draws of existing runs.
+    Homogeneous ``sweb`` keeps its own inlined loop: the historical
+    inner loop, unchanged, so the pre-zoo fingerprints hold bit for bit
+    (pinned in ``tests/test_sched_policies.py``).  It is the hot path of
+    the fluid benchmarks, and the shared loop is measurably slower on
+    it.  Unit speed factors send the same cell through the shared loop
+    with an identical fingerprint; on a 2-vCPU Intel Xeon host that
+    costs a median 11% of req/s (8 alternating 250 k-request runs at
+    5000 rps), and variants that vectorised the loop tail or inlined
+    per-node rows still cost 7-11%.
     """
     n_nodes = scenario.nodes
     t_redirect = scenario.t_redirect
-    node_range = range(n_nodes)
-    policy = scenario.policy
     rr = 0  # round-robin DNS cursor, carried across batches
 
-    if policy == "sweb" and service_by is None:
+    if scenario.policy == "sweb" and not scenario.heterogeneous:
+        service = [row[0] for row in rows]
+        node_range = range(n_nodes)
+
         def step(m, arr_list, rank_list, lat, node_col, red_col):
             nonlocal rr
             redirected = 0
@@ -352,275 +496,35 @@ def _make_stepper(scenario: FluidScenario, rng: RandomStreams,
             return redirected
         return step
 
-    if policy == "sweb":
-        # Heterogeneous SWEB: same argmin, but each candidate is priced
-        # at its own node's service time (fast nodes win more requests).
-        def step(m, arr_list, rank_list, lat, node_col, red_col):
-            nonlocal rr
-            redirected = 0
-            for i in range(m):
-                a = arr_list[i]
-                rank = rank_list[i]
-                home = rr
-                rr = rr + 1
-                if rr == n_nodes:
-                    rr = 0
-                best = home
-                b = busy[home]
-                best_score = (b if b > a else a) + service_by[home][rank]
-                for j in node_range:
-                    if j == home:
-                        continue
-                    b = busy[j]
-                    score = ((b if b > a else a) + service_by[j][rank]
-                             + t_redirect)
-                    if score < best_score:
-                        best_score = score
-                        best = j
-                s = service_by[best][rank]
-                busy[best] = finish = ((busy[best] if busy[best] > a else a)
-                                       + s)
-                served[best] += 1
-                if best != home:
-                    latency = finish - a + t_redirect
-                    redirected += 1
-                    red_col[i] = 1
-                else:
-                    latency = finish - a
-                lat[i] = latency
-                node_col[i] = best
-            return redirected
-        return step
+    choose, draw = _choice_rule(scenario, rng, busy)
 
-    if policy == "round-robin":
-        def step(m, arr_list, rank_list, lat, node_col, red_col):
-            nonlocal rr
-            for i in range(m):
-                a = arr_list[i]
-                rank = rank_list[i]
-                home = rr
-                rr = rr + 1
-                if rr == n_nodes:
-                    rr = 0
-                s = (service[rank] if service_by is None
-                     else service_by[home][rank])
-                busy[home] = finish = ((busy[home] if busy[home] > a else a)
-                                       + s)
-                served[home] += 1
-                lat[i] = finish - a
-                node_col[i] = home
-            return 0
-        return step
-
-    if policy == "random":
-        choice_gen = rng.stream("fluid-choice")
-
-        def step(m, arr_list, rank_list, lat, node_col, red_col):
-            nonlocal rr
-            redirected = 0
-            choices = choice_gen.integers(0, n_nodes, size=m).tolist()
-            for i in range(m):
-                a = arr_list[i]
-                rank = rank_list[i]
-                home = rr
-                rr = rr + 1
-                if rr == n_nodes:
-                    rr = 0
-                best = choices[i]
-                s = (service[rank] if service_by is None
-                     else service_by[best][rank])
-                busy[best] = finish = ((busy[best] if busy[best] > a else a)
-                                       + s)
-                served[best] += 1
-                if best != home:
-                    latency = finish - a + t_redirect
-                    redirected += 1
-                    red_col[i] = 1
-                else:
-                    latency = finish - a
-                lat[i] = latency
-                node_col[i] = best
-            return redirected
-        return step
-
-    if policy in ("jsq", "po2"):
-        # Per-node FIFO queues of finish times: finishes are appended in
-        # nondecreasing order (busy clocks only advance), so draining
-        # the front past the arrival instant is amortised O(1) and
-        # len(queue) is the exact in-service job count.
-        queues = [deque() for _ in node_range]
-        po2_gen = rng.stream("fluid-po2") if policy == "po2" else None
-
-        def _count(j, a):
-            q = queues[j]
-            while q and q[0] <= a:
-                q.popleft()
-            return len(q)
-
-        def _finish_on(j, a, rank):
-            s = service[rank] if service_by is None else service_by[j][rank]
-            b = busy[j]
-            busy[j] = finish = (b if b > a else a) + s
-            queues[j].append(finish)
-            served[j] += 1
-            return finish
-
-        if policy == "jsq":
-            def step(m, arr_list, rank_list, lat, node_col, red_col):
-                nonlocal rr
-                redirected = 0
-                for i in range(m):
-                    a = arr_list[i]
-                    home = rr
-                    rr = rr + 1
-                    if rr == n_nodes:
-                        rr = 0
-                    best = home
-                    best_count = _count(home, a)
-                    for j in node_range:
-                        if j == home:
-                            continue
-                        c = _count(j, a)
-                        if c < best_count:
-                            best_count = c
-                            best = j
-                    finish = _finish_on(best, a, rank_list[i])
-                    if best != home:
-                        latency = finish - a + t_redirect
-                        redirected += 1
-                        red_col[i] = 1
-                    else:
-                        latency = finish - a
-                    lat[i] = latency
-                    node_col[i] = best
-                return redirected
-            return step
-
-        def step(m, arr_list, rank_list, lat, node_col, red_col):
-            nonlocal rr
-            redirected = 0
-            if n_nodes == 1:
-                first = [0] * m
-                second = [0] * m
+    def step(m, arr_list, rank_list, lat, node_col, red_col):
+        nonlocal rr
+        if draw is not None:
+            draw(m)
+        redirected = 0
+        for i in range(m):
+            a = arr_list[i]
+            rank = rank_list[i]
+            row = rows[rank]
+            home = rr
+            rr = rr + 1
+            if rr == n_nodes:
+                rr = 0
+            best = choose(a, home, row, rank)
+            b = busy[best]
+            busy[best] = finish = (b if b > a else a) + row[best]
+            served[best] += 1
+            if best != home:
+                latency = finish - a + t_redirect
+                redirected += 1
+                red_col[i] = 1
             else:
-                first = po2_gen.integers(0, n_nodes, size=m).tolist()
-                second = po2_gen.integers(0, n_nodes - 1, size=m).tolist()
-            for i in range(m):
-                a = arr_list[i]
-                home = rr
-                rr = rr + 1
-                if rr == n_nodes:
-                    rr = 0
-                x = first[i]
-                y = second[i]
-                if y >= x:   # second sample drawn over the other n-1 nodes
-                    y += 1 if n_nodes > 1 else 0
-                best = y if _count(y, a) < _count(x, a) else x
-                finish = _finish_on(best, a, rank_list[i])
-                if best != home:
-                    latency = finish - a + t_redirect
-                    redirected += 1
-                    red_col[i] = 1
-                else:
-                    latency = finish - a
-                lat[i] = latency
-                node_col[i] = best
-            return redirected
-        return step
-
-    if policy == "lwl":
-        def step(m, arr_list, rank_list, lat, node_col, red_col):
-            nonlocal rr
-            redirected = 0
-            for i in range(m):
-                a = arr_list[i]
-                rank = rank_list[i]
-                home = rr
-                rr = rr + 1
-                if rr == n_nodes:
-                    rr = 0
-                # Outstanding work in seconds; busy clocks already run
-                # in each node's own time, so the comparison is speed-
-                # normalised for free on heterogeneous clusters.
-                best = home
-                w = busy[home] - a
-                best_w = w if w > 0.0 else 0.0
-                for j in node_range:
-                    if j == home:
-                        continue
-                    w = busy[j] - a
-                    if w < 0.0:
-                        w = 0.0
-                    if w < best_w:
-                        best_w = w
-                        best = j
-                s = (service[rank] if service_by is None
-                     else service_by[best][rank])
-                busy[best] = finish = ((busy[best] if busy[best] > a else a)
-                                       + s)
-                served[best] += 1
-                if best != home:
-                    latency = finish - a + t_redirect
-                    redirected += 1
-                    red_col[i] = 1
-                else:
-                    latency = finish - a
-                lat[i] = latency
-                node_col[i] = best
-            return redirected
-        return step
-
-    if policy == "chash":
-        prefs = rank_preferences(scenario.n_paths, n_nodes)
-        inv_n = 1.0 / n_nodes
-
-        def step(m, arr_list, rank_list, lat, node_col, red_col):
-            nonlocal rr
-            redirected = 0
-            for i in range(m):
-                a = arr_list[i]
-                rank = rank_list[i]
-                home = rr
-                rr = rr + 1
-                if rr == n_nodes:
-                    rr = 0
-                order = prefs[rank]
-                total_w = 0.0
-                for j in node_range:
-                    w = busy[j] - a
-                    if w > 0.0:
-                        total_w += w
-                mean_w = total_w * inv_n
-                # Bounded load: the owner keeps the request unless its
-                # backlog exceeds twice the cluster mean plus the
-                # request itself; then walk the spill order.
-                best = order[0]
-                for j in order:
-                    w = busy[j] - a
-                    if w < 0.0:
-                        w = 0.0
-                    s_j = (service[rank] if service_by is None
-                           else service_by[j][rank])
-                    if w <= 2.0 * mean_w + s_j:
-                        best = j
-                        break
-                s = (service[rank] if service_by is None
-                     else service_by[best][rank])
-                busy[best] = finish = ((busy[best] if busy[best] > a else a)
-                                       + s)
-                served[best] += 1
-                if best != home:
-                    latency = finish - a + t_redirect
-                    redirected += 1
-                    red_col[i] = 1
-                else:
-                    latency = finish - a
-                lat[i] = latency
-                node_col[i] = best
-            return redirected
-        return step
-
-    raise ValueError(f"no fluid stepper for policy {policy!r}")
+                latency = finish - a
+            lat[i] = latency
+            node_col[i] = best
+        return redirected
+    return step
 
 
 def _popularity_cdf(scenario: FluidScenario) -> Optional[np.ndarray]:
@@ -651,7 +555,7 @@ def run_fluid(scenario: FluidScenario,
     scenario.validate()
     registry = registry if registry is not None else MetricsRegistry()
     rng = RandomStreams(seed=scenario.seed)
-    service, service_by = _service_tables(scenario, rng)
+    rows = _service_rows(scenario, rng)
     cdf = _popularity_cdf(scenario)
     arrivals_gen = rng.stream("fluid-arrivals")
     paths_gen = rng.stream("fluid-paths")
@@ -660,7 +564,7 @@ def run_fluid(scenario: FluidScenario,
     n_nodes = scenario.nodes
     busy = [0.0] * n_nodes
     served = [0] * n_nodes
-    step = _make_stepper(scenario, rng, service, service_by, busy, served)
+    step = _make_stepper(scenario, rng, rows, busy, served)
     records = FluidRecords() if keep_records else None
     digest = hashlib.sha256()
     bucket_counts = np.zeros(len(bounds) + 1, dtype=np.int64)

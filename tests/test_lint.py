@@ -312,8 +312,8 @@ def test_allowlist_matching():
 
 # -- the gate: the live tree is lint-clean --------------------------------
 
-def test_live_tree_is_lint_clean():
-    diags = run_lint([REPO / "src", REPO / "scripts"])
+def test_live_tree_is_lint_clean(lint_cache):
+    diags = run_lint([REPO / "src", REPO / "scripts"], cache=lint_cache)
     assert diags == [], "\n".join(d.format() for d in diags)
 
 

@@ -256,8 +256,8 @@ def test_find_repo_root_falls_back_without_marker(tmp_path):
 
 # -- the whole-program model ----------------------------------------------
 
-def test_live_program_reaches_the_engine_entry_points():
-    program = Program.build()
+def test_live_program_reaches_the_engine_entry_points(lint_cache):
+    program = Program.build(cache=lint_cache)
     assert program.is_reachable("repro.sim.engine.Simulator.run")
     assert "(entry point)" in program.explain("repro.sim.engine.Simulator.run")
     # a healthy graph: hundreds of functions, a sizeable reachable core
@@ -274,8 +274,8 @@ def test_deep_rules_have_unique_names():
 
 # -- the gate: the live tree is deep-clean --------------------------------
 
-def test_live_tree_is_deep_clean():
-    diags = run_deep()
+def test_live_tree_is_deep_clean(lint_cache):
+    diags = run_deep(cache=lint_cache)
     assert diags == [], "\n".join(d.format() for d in diags)
 
 

@@ -23,23 +23,23 @@ from repro.obs import (
     percentile,
     percentiles,
 )
-from repro.sim import Counter, Summary, Tally
+from repro.sim import Summary, Tally
 
 
 # -- counters --------------------------------------------------------------
 
-def test_counter_group_matches_sim_stats_counter():
-    # The swap inside Metrics relies on drop-in compatibility: identical
-    # op sequences must produce identical reads and as_dict payloads.
-    group, legacy = CounterGroup("http"), Counter()
+def test_counter_group_incr_missing_key_and_as_dict():
+    group = CounterGroup("http")
     ops = [("requests", 1), ("requests", 1), ("dropped", 3),
            ("completed", 1), ("requests", 2)]
     for key, by in ops:
         group.incr(key, by=by)
-        legacy.incr(key, by=by)
-    assert group.as_dict() == legacy.as_dict()
-    assert group["requests"] == legacy["requests"] == 4
-    assert group["absent"] == legacy["absent"] == 0
+    group.incr("completed")
+    assert group["requests"] == 4
+    assert group["completed"] == 2
+    assert group["absent"] == 0
+    # reading a missing key neither creates nor reports it
+    assert group.as_dict() == {"requests": 4, "dropped": 3, "completed": 2}
 
 
 # -- gauges ----------------------------------------------------------------

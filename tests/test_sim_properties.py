@@ -6,15 +6,14 @@ Invariants checked:
 * identical schedules replay identically (determinism);
 * the fair-share server conserves work and is never idle while work is
   pending (work conservation);
-* a FIFO Resource never exceeds capacity and grants in arrival order;
-* TimeWeighted.average equals a brute-force integral.
+* a FIFO Resource never exceeds capacity and grants in arrival order.
 """
 
 import math
 
 from hypothesis import given, settings, strategies as st
 
-from repro.sim import FairShareServer, Resource, Simulator, TimeWeighted
+from repro.sim import FairShareServer, Resource, Simulator
 
 delays = st.lists(st.floats(min_value=0.0, max_value=50.0,
                             allow_nan=False, allow_infinity=False),
@@ -139,28 +138,3 @@ def test_resource_capacity_invariant(capacity, holds):
     assert max_in_use <= capacity
     # All requests arrive at t=0 in spawn order; FIFO grants preserve it.
     assert grant_order == list(range(len(holds)))
-
-
-@given(
-    st.lists(
-        st.tuples(st.floats(min_value=0.001, max_value=10.0),
-                  st.floats(min_value=-5.0, max_value=5.0)),
-        min_size=1, max_size=12,
-    )
-)
-@settings(max_examples=60, deadline=None)
-def test_time_weighted_average_matches_bruteforce(steps):
-    tw = TimeWeighted(initial=0.0, at=0.0)
-    t = 0.0
-    pieces = []  # (t0, t1, value)
-    value = 0.0
-    for dt, v in steps:
-        pieces.append((t, t + dt, value))
-        t += dt
-        value = v
-        tw.update(t, v)
-    t_end = t + 1.0
-    pieces.append((t, t_end, value))
-    integral = sum((b - a) * v for a, b, v in pieces)
-    expected = integral / t_end
-    assert math.isclose(tw.average(0.0, t_end), expected, rel_tol=1e-9, abs_tol=1e-9)

@@ -143,6 +143,19 @@ def test_validate_rejects_malformed_cells():
                 dict(n_paths=0), dict(hot_set=65), dict(batch=0)):
         with pytest.raises(ValueError):
             run_fluid(_small(**bad))
+    # physically meaningless cells: each error names the offending field
+    nan, inf = float("nan"), float("inf")
+    for bad in (dict(disk_bps=0.0), dict(mem_bps=-5.0), dict(rate=nan),
+                dict(rate=inf), dict(mean_file_bytes=-1.0),
+                dict(mean_file_bytes=0.0), dict(disk_bps=nan),
+                dict(t_cpu=-1.0), dict(t_redirect=-1e-4), dict(t_cpu=nan),
+                dict(alpha=nan), dict(alpha=inf),
+                dict(cpu_factors=(1.0, nan, 1.0))):
+        (field, _), = bad.items()
+        with pytest.raises(ValueError, match=field):
+            run_fluid(_small(**bad))
+    # the boundary values stay legal
+    _small(t_cpu=0.0, t_redirect=0.0, alpha=None).validate()
 
 
 def test_with_seed_returns_new_cell():
