@@ -13,7 +13,8 @@ Run:  python examples/browser_sessions.py
 """
 
 from repro import SWEBCluster, meiko_cs2
-from repro.sim import Monitor, RandomStreams, ascii_series
+from repro.experiments.tables import ascii_series, ascii_sparkline
+from repro.sim import RandomStreams
 from repro.web import BrowserSession
 from repro.workload import html_site_corpus
 
@@ -26,14 +27,20 @@ def main() -> None:
     sim = cluster.sim
     rng = RandomStreams(seed=13)
 
-    monitor = Monitor(sim, period=1.0)
-    monitor.probe("run queue (total)",
-                  lambda: sum(n.cpu.njobs for n in cluster.nodes))
-    monitor.probe("nic streams",
-                  lambda: sum(n.nic.njobs for n in cluster.nodes))
-    monitor.probe("disk streams",
-                  lambda: sum(n.disk.channel_load for n in cluster.nodes))
-    monitor.start()
+    probes = {
+        "run queue (total)": lambda: sum(n.cpu.njobs for n in cluster.nodes),
+        "nic streams": lambda: sum(n.nic.njobs for n in cluster.nodes),
+        "disk streams": lambda: sum(n.disk.channel_load for n in cluster.nodes),
+    }
+    samples = {name: [] for name in probes}
+
+    def monitor():
+        while True:
+            for name, probe in probes.items():
+                samples[name].append(float(probe()))
+            yield sim.timeout(1.0)
+
+    sim.spawn(monitor(), name="monitor")
 
     browsers = [BrowserSession(cluster, max_parallel_images=4)
                 for _ in range(8)]
@@ -62,10 +69,13 @@ def main() -> None:
           f"(pages + images), redirected {cluster.metrics.counters['redirected']}")
     print()
     print("Cluster load during the run (1-second samples):")
-    print(monitor.render(width=64))
+    for name, values in samples.items():
+        print(f"{name:<20} {ascii_sparkline(values, 64)} "
+              f"min {min(values):.2f} mean {sum(values) / len(values):.2f} "
+              f"max {max(values):.2f}")
     print()
     print("Total run queue over time:")
-    print(ascii_series(monitor.samples["run queue (total)"], height=6,
+    print(ascii_series(samples["run queue (total)"], height=6,
                        width=64, label="seconds →"))
 
 

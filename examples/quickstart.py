@@ -46,9 +46,8 @@ def main() -> None:
     print(f"served by:  {metrics.served_by_histogram()}")
     print()
     print("Per-phase mean cost (the paper's Table 5 breakdown):")
-    breakdown = metrics.phase_breakdown()
-    for phase in breakdown.phases():
-        print(f"  {phase:<14} {breakdown.mean(phase) * 1e3:8.2f} ms")
+    for phase, mean in metrics.phase_means().items():
+        print(f"  {phase:<14} {mean * 1e3:8.2f} ms")
     print()
     print("First trace lines (Figure 1's transaction, live):")
     for record in trace.filter(category="http")[:8]:

@@ -6,7 +6,7 @@ A from-scratch reproduction of Andresen, Yang, Holmedahl & Ibarra
 Layers (bottom-up):
 
 * :mod:`repro.sim` — the discrete-event kernel (processes, fair-share
-  stations, deterministic RNG, metrics, tracing);
+  stations, deterministic RNG, tracing);
 * :mod:`repro.cluster` — the hardware: nodes, disks, page caches, the
   Meiko fat-tree / NOW Ethernet, NFS, WAN paths;
 * :mod:`repro.cache` — cooperative caching: the cluster-wide cache

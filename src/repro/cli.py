@@ -19,6 +19,7 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 
@@ -42,6 +43,28 @@ def _positive_int(text: str) -> int:
     if value == 0:
         raise argparse.ArgumentTypeError("must be >= 1, got 0")
     return value
+
+
+def _positive_float(text: str) -> float:
+    """argparse type: a finite, strictly positive number."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be > 0 and finite, got {text}")
+    return value
+
+
+#: what a malformed log, config or artifact file raises while loading
+_BAD_INPUT = (OSError, ValueError, TypeError, KeyError)
+
+
+def _bad_input(command: str, exc: BaseException) -> int:
+    """Report an unloadable input file in one line; exit status 2."""
+    print(f"sweb-repro {command}: {type(exc).__name__}: {exc}",
+          file=sys.stderr)
+    return 2
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -89,15 +112,15 @@ def build_parser() -> argparse.ArgumentParser:
                        help="geo mode: cut this site's POP off for the "
                             "middle half of the run (with --graceful its "
                             "population spills to the next-nearest site)")
-    serve.add_argument("--nodes", type=int, default=6)
+    serve.add_argument("--nodes", type=_positive_int, default=6)
     serve.add_argument("--scheduler", "--policy", dest="policy",
                        choices=list(policy_names()), default="sweb",
                        help="scheduling policy — the zoo is documented in "
                             "docs/SCHEDULING.md (--policy is an alias)")
-    serve.add_argument("--rps", type=int, default=16)
-    serve.add_argument("--duration", type=float, default=30.0)
-    serve.add_argument("--file-size", type=float, default=1.5e6)
-    serve.add_argument("--files", type=int, default=120)
+    serve.add_argument("--rps", type=_positive_int, default=16)
+    serve.add_argument("--duration", type=_positive_float, default=30.0)
+    serve.add_argument("--file-size", type=_positive_float, default=1.5e6)
+    serve.add_argument("--files", type=_positive_int, default=120)
     serve.add_argument("--seed", type=int, default=1)
     serve.add_argument("--faults", metavar="SPEC",
                        help="fault plan, e.g. 'crash:n2@30,partition:10-20' "
@@ -113,7 +136,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--replicate", action="store_true",
                        help="proactively replicate Zipf-hot files to "
                             "underloaded peers (implies --coop-cache)")
-    serve.add_argument("--zipf", type=float, metavar="ALPHA", default=None,
+    serve.add_argument("--zipf", type=_positive_float, metavar="ALPHA",
+                       default=None,
                        help="use a Zipf(ALPHA) popularity distribution "
                             "instead of uniform sampling")
     serve.add_argument("--trace-requests", type=_nonneg_int, metavar="N",
@@ -130,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
         "bench", help="benchmark the simulation kernel and the full stack")
     bench.add_argument("-o", "--out", default="BENCH_kernel.json",
                        help="output JSON path ('' to skip writing)")
-    bench.add_argument("--repeats", type=int, default=3,
+    bench.add_argument("--repeats", type=_positive_int, default=3,
                        help="timed repeats per phase (best run is kept)")
     bench.add_argument("--scale", default="1.0", metavar="FACTOR|TIER",
                        help="float factor on every phase's workload size, "
@@ -475,13 +499,16 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     from .web.client import Client
     from .workload.logs import parse_clf, workload_from_clf
 
-    entries = parse_clf(Path(args.logfile).read_text())
+    try:
+        entries = parse_clf(Path(args.logfile).read_text())
+        config = load_config(args.config if args.config else {})
+        cluster = config.build()
+    except _BAD_INPUT as exc:
+        return _bad_input("replay", exc)
     if not entries:
         print(f"no parseable CLF entries in {args.logfile}")
         return 1
     workload = workload_from_clf(entries, time_scale=args.time_scale)
-    config = load_config(args.config) if args.config else load_config({})
-    cluster = config.build()
     # Place every referenced path; sizes come from the log when present.
     sizes: dict[str, float] = {}
     for entry in entries:
@@ -538,8 +565,11 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     )
 
     if args.replay is not None:
-        with open(args.replay) as handle:
-            config = config_from_artifact(json.load(handle))
+        try:
+            with open(args.replay) as handle:
+                config = config_from_artifact(json.load(handle))
+        except _BAD_INPUT as exc:
+            return _bad_input("fuzz --replay", exc)
         report = replay_case(config)
         print(report.summary_line())
         for violation in report.violations:

@@ -68,13 +68,9 @@ class Link:
         self.sim.defer(start)
         return done
 
-    @property
-    def load(self) -> int:
-        """In-flight transfers (the paper's ``load_2``)."""
-        return self.server.njobs
-
     def __repr__(self) -> str:
-        return f"<Link {self.name!r} bw={self.bandwidth / 1e6:.2f}MB/s load={self.load}>"
+        return (f"<Link {self.name!r} bw={self.bandwidth / 1e6:.2f}MB/s "
+                f"load={self.server.njobs}>")
 
 
 class ClusterNetwork:

@@ -17,11 +17,11 @@ from __future__ import annotations
 
 from ..cluster import meiko_cs2
 from ..core import SWEBCluster
-from ..sim import AllOf, Monitor, RandomStreams, ascii_sparkline
+from ..sim import AllOf, RandomStreams
 from ..web import Client
 from ..workload import burst_workload, uniform_corpus, uniform_sampler
 from .base import ExperimentReport
-from .tables import ComparisonRow, render_table
+from .tables import ComparisonRow, ascii_sparkline, render_table
 
 __all__ = ["run", "queue_trajectory"]
 
@@ -33,10 +33,15 @@ def queue_trajectory(rps: int, duration: float, seed: int = 1,
     corpus = uniform_corpus(120, 1.5e6, 6)
     corpus.install(cluster)
     sim = cluster.sim
-    monitor = Monitor(sim, period=1.0)
-    monitor.probe("backlog", lambda: sum(
-        s.connections_active for s in cluster.servers.values()))
-    monitor.start()
+    backlog: list[float] = []
+
+    def sample():
+        while True:
+            backlog.append(float(sum(
+                s.connections_active for s in cluster.servers.values())))
+            yield sim.timeout(1.0)
+
+    sim.spawn(sample(), name="monitor")
     sampler = uniform_sampler(corpus, RandomStreams(seed=42))
     workload = burst_workload(rps, duration, sampler)
     client = Client(cluster, timeout=120.0)
@@ -50,7 +55,6 @@ def queue_trajectory(rps: int, duration: float, seed: int = 1,
         yield AllOf(sim, procs)
 
     sim.run(until=sim.spawn(driver(), name="driver"))
-    _times, backlog = monitor.series("backlog")
     return backlog, cluster.metrics
 
 

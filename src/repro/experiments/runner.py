@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from ..core import SWEBCluster
-from ..sim import AllOf, Summary
-from ..web import Client, Metrics
+from ..sim import AllOf
+from ..web import Client, Metrics, Summary
 # Deprecated re-export shim: ``Scenario`` and ``DEFAULT_PROFILES`` moved
 # to :mod:`repro.workload` when the scenario presets grew into their own
 # layer; they stay importable from here only so pre-move callers keep
@@ -99,17 +99,13 @@ class ScenarioResult:
         """Client-side DNS cache hit rate (TTL-driven; not the page cache)."""
         return self.cluster.dns.cache_hit_rate
 
-    def page_cache_stats(self) -> dict[int, dict[str, float]]:
-        """Per-node page-cache counters (hits/misses/evictions/bytes)."""
-        return self.cluster.page_cache_stats()
-
     def p95_response_time(self) -> float:
         """95th-percentile response time over completed requests.
 
         Routed through ``Metrics.response_percentile`` (and from there
         the shared ``repro.obs.percentiles`` helper) rather than a
         local re-derivation."""
-        if not self.metrics.response_times().count:
+        if not self.metrics.response_times():
             return 0.0
         return self.metrics.response_percentile(95)
 
@@ -146,8 +142,7 @@ class ScenarioResult:
         return square_of_sum / (n * sum_of_squares)
 
     def phase_means(self) -> dict[str, float]:
-        acc = self.metrics.phase_breakdown()
-        return {phase: acc.mean(phase) for phase in acc.phases()}
+        return self.metrics.phase_means()
 
     def summary_line(self) -> str:
         rt = self.mean_response_time

@@ -7,9 +7,14 @@ harness output looks like the tables in the paper.
 from __future__ import annotations
 
 import math
-from typing import Any, Optional, Sequence
+from typing import Any, Iterable, Optional, Sequence
 
-__all__ = ["render_table", "format_value", "ComparisonRow", "render_comparison"]
+import numpy as np
+
+__all__ = ["render_table", "format_value", "ComparisonRow", "render_comparison",
+           "ascii_sparkline", "ascii_series"]
+
+_BLOCKS = " ▁▂▃▄▅▆▇█"
 
 
 def format_value(value: Any, floatfmt: str = ".2f") -> str:
@@ -46,6 +51,50 @@ def render_table(headers: Sequence[str], rows: Sequence[Sequence[Any]],
     for row in cells:
         lines.append(" | ".join(c.rjust(w) for c, w in zip(row, widths)))
     return "\n".join(lines)
+
+
+def _bucketed(values: Iterable[float], width: int) -> np.ndarray:
+    """The series as floats, averaged into ``width`` buckets if longer."""
+    arr = np.asarray(list(values), dtype=float)
+    if arr.size > width:
+        edges = np.linspace(0, arr.size, width + 1).astype(int)
+        arr = np.array([arr[a:b].mean() if b > a else arr[min(a, arr.size - 1)]
+                        for a, b in zip(edges[:-1], edges[1:])])
+    return arr
+
+
+def ascii_sparkline(values: Iterable[float], width: int = 60) -> str:
+    """Compress a series into a fixed-width block-character sparkline."""
+    arr = _bucketed(values, width)
+    if arr.size == 0:
+        return ""
+    lo, hi = float(arr.min()), float(arr.max())
+    if hi - lo < 1e-12:
+        return _BLOCKS[1] * len(arr)
+    scaled = (arr - lo) / (hi - lo) * (len(_BLOCKS) - 2) + 1
+    return "".join(_BLOCKS[int(round(s))] for s in scaled)
+
+
+def ascii_series(values: Iterable[float], height: int = 8, width: int = 60,
+                 label: str = "") -> str:
+    """A multi-line bar chart of a series (rows = magnitude bands)."""
+    arr = _bucketed(values, width)
+    if arr.size == 0:
+        return "(no data)"
+    hi = float(arr.max())
+    if hi <= 0:
+        hi = 1.0
+    rows = []
+    for level in range(height, 0, -1):
+        threshold = hi * (level - 0.5) / height
+        row = "".join("█" if v >= threshold else " " for v in arr)
+        prefix = f"{hi * level / height:8.2f} |" if level in (height, 1) \
+            else "         |"
+        rows.append(prefix + row)
+    rows.append("         +" + "-" * len(arr))
+    if label:
+        rows.append(f"          {label}")
+    return "\n".join(rows)
 
 
 class ComparisonRow:

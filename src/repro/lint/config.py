@@ -25,8 +25,8 @@ LAYERS: tuple[str, ...] = (
 #: This is the enforced DAG:  obs → sim → sched → cluster → cache →
 #: {faults, web} → core → workload → geo → experiments → fuzz.  ``obs``
 #: sits at the very bottom (pure data structures, no engine dependency) so *every*
-#: layer — including ``sim``, whose stats route percentile math through
-#: it — may publish spans and metrics into it.  ``sched`` (the policy
+#: layer may publish spans and metrics into it (``sim`` is allowed to but
+#: currently imports nothing from it).  ``sched`` (the policy
 #: registry, speed-factor model and rendezvous hashing) sits just above
 #: the kernel so the hardware layer, the per-client strategies and the
 #: fluid model all share one scheduling vocabulary.  ``TYPE_CHECKING``-

@@ -27,8 +27,8 @@ from typing import Iterator, Optional
 
 from .callgraph import FunctionInfo
 
-__all__ = ["MUTATOR_METHODS", "MutationSummary", "PURITY_LEVELS",
-           "analyze_mutations", "iter_own_nodes", "purity_level"]
+__all__ = ["MUTATOR_METHODS", "MutationSummary", "analyze_mutations",
+           "iter_own_nodes"]
 
 #: method names that mutate their receiver in place (list/dict/set/deque
 #: and file-like receivers).  Over-approximate on purpose: a same-named
@@ -38,9 +38,6 @@ MUTATOR_METHODS = frozenset({
     "pop", "popleft", "popitem", "remove", "reverse", "setdefault", "sort",
     "update", "write", "writelines",
 })
-
-#: the purity lattice, least to most effectful
-PURITY_LEVELS = ("pure", "own", "param", "global")
 
 
 @dataclass
@@ -62,17 +59,6 @@ class MutationSummary:
         if not self.mutates_self:
             self.mutates_self = True
             self.self_line = line
-
-
-def purity_level(summary: MutationSummary) -> str:
-    """Position of a summary in the PURE < OWN < PARAM < GLOBAL lattice."""
-    if summary.mutated_globals:
-        return "global"
-    if summary.mutated_params:
-        return "param"
-    if summary.mutates_self:
-        return "own"
-    return "pure"
 
 
 def iter_own_nodes(fn: FunctionInfo) -> Iterator[ast.AST]:

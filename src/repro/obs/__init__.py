@@ -14,7 +14,7 @@ so every other layer may publish into it.  Three pieces:
 * :mod:`repro.obs.export` — Chrome ``trace_event`` JSON and a text
   flame rollup (pure renderers; the CLI owns file I/O);
 * :mod:`repro.obs.percentiles` — the one shared implementation of
-  exact percentile math (``sim.stats`` routes through it).
+  exact percentile math (``web.metrics`` routes through it).
 
 Tracing is observation-only by construction: the tracer reads the sim
 clock but never schedules events, so enabling it cannot change any

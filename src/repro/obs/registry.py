@@ -9,7 +9,7 @@ Histograms use *fixed* bucket bounds so p50/p95/p99 come from bucket
 interpolation without storing raw samples — O(buckets) memory per metric
 regardless of run length, the standard Prometheus-style trade-off.  The
 exact-percentile path (``repro.obs.percentiles``) remains the source of
-truth where raw samples are already retained (``sim.stats``).
+truth where raw samples are already retained (``web.metrics``).
 
 Registries are per-process but their snapshots are *mergeable*:
 :func:`merge_snapshots` folds any number of ``snapshot()`` dicts into

@@ -2,22 +2,22 @@
 
 Public surface:
 
-* :class:`Simulator`, :class:`Event`, :class:`Process`, :class:`Interrupt` —
-  the event loop and process model (:mod:`repro.sim.engine`).
-* :class:`Resource`, :class:`Store`, :class:`Container` — queueing
-  primitives (:mod:`repro.sim.resources`).
+* :class:`Simulator`, :class:`Event`, :class:`Timeout`, :class:`Process`,
+  :class:`AnyOf`, :class:`AllOf` — the event loop and process model
+  (:mod:`repro.sim.engine`).
 * :class:`FairShareServer` — processor-sharing stations, the model behind
   CPUs, disks and links (:mod:`repro.sim.bandwidth`).
-* :class:`RandomStreams` — deterministic named substreams.
-* :class:`Tally`, :class:`PhaseAccumulator`, :class:`Summary` — metrics.
+* :class:`RandomStreams` — deterministic named substreams, with the
+  stream-name registry in :mod:`repro.sim.streamnames`.
 * :class:`Trace` — structured event log.
+
+Request metrics live with their producer in :mod:`repro.web.metrics`.
 """
 
 from .engine import (
     AllOf,
     AnyOf,
     Event,
-    Interrupt,
     Process,
     SimulationError,
     Simulator,
@@ -26,10 +26,7 @@ from .engine import (
     URGENT,
 )
 from .bandwidth import FairShareServer, Job
-from .monitor import Monitor, ascii_series, ascii_sparkline
-from .resources import Container, Resource, Store
 from .rng import RandomStreams
-from .stats import PhaseAccumulator, Summary, Tally
 from .streamnames import STREAM_NAMES, crc32_key, stream_collisions
 from .trace import DETAIL as TRACE_DETAIL
 from .trace import SUMMARY as TRACE_SUMMARY
@@ -38,31 +35,21 @@ from .trace import Trace, TraceRecord
 __all__ = [
     "AllOf",
     "AnyOf",
-    "Container",
     "Event",
     "FairShareServer",
-    "Interrupt",
     "Job",
-    "Monitor",
     "NORMAL",
-    "PhaseAccumulator",
     "Process",
     "RandomStreams",
-    "Resource",
     "STREAM_NAMES",
     "SimulationError",
     "Simulator",
-    "Store",
-    "Summary",
     "TRACE_DETAIL",
     "TRACE_SUMMARY",
-    "Tally",
     "Timeout",
     "Trace",
     "TraceRecord",
     "URGENT",
-    "ascii_series",
-    "ascii_sparkline",
     "crc32_key",
     "stream_collisions",
 ]

@@ -101,13 +101,6 @@ class Job:
         return rem if rem > 0.0 else 0.0
 
     @property
-    def progress(self) -> float:
-        """Fraction of the work completed, in [0, 1]."""
-        if self.work <= 0:
-            return 1.0
-        return 1.0 - self.remaining / self.work
-
-    @property
     def rate(self) -> float:
         """Service rate currently allocated to this job."""
         state = self._state

@@ -12,16 +12,15 @@ number), so two runs with the same seed produce identical schedules.
 Performance: this file is the hottest code in the repository (see
 ``docs/PERFORMANCE.md``).  The main loop in :meth:`Simulator.run` inlines
 :meth:`Simulator.step`, the trigger/timeout paths push onto the heap
-directly instead of going through :meth:`Simulator._push`, and processed
-events return their callback lists to a per-simulator free pool so steady
-state allocates no lists.  All of it is behaviour-preserving: the
-schedule order — (time, priority, seq) — is untouched, and
-``tests/test_determinism.py`` pins bit-identical fixed-seed results.
+directly, and processed events return their callback lists to a
+per-simulator free pool so steady state allocates no lists.  All of it
+is behaviour-preserving: the schedule order — (time, priority, seq) — is
+untouched, and ``tests/test_determinism.py`` pins bit-identical
+fixed-seed results.
 """
 
 from __future__ import annotations
 
-import heapq
 from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional
 
@@ -31,7 +30,6 @@ __all__ = [
     "Process",
     "AnyOf",
     "AllOf",
-    "Interrupt",
     "Simulator",
     "SimulationError",
     "StopSimulation",
@@ -39,7 +37,8 @@ __all__ = [
     "NORMAL",
 ]
 
-#: Scheduling priority for interrupts and simulation-control events.
+#: Scheduling priority for process starts, deferred callbacks and
+#: simulation-control events.
 URGENT = 0
 #: Default scheduling priority.
 NORMAL = 1
@@ -57,20 +56,6 @@ class StopSimulation(Exception):
     def __init__(self, value: Any = None) -> None:
         super().__init__(value)
         self.value = value
-
-
-class Interrupt(Exception):
-    """Thrown into a process when :meth:`Process.interrupt` is called.
-
-    ``cause`` carries the value given by the interrupter.
-    """
-
-    def __init__(self, cause: Any = None) -> None:
-        super().__init__(cause)
-
-    @property
-    def cause(self) -> Any:
-        return self.args[0]
 
 
 class Event:
@@ -162,61 +147,20 @@ class Event:
 
 
 class Timeout(Event):
-    """An event that fires ``delay`` time units after creation."""
+    """An event that fires ``delay`` time units after creation.
+
+    Built only by :meth:`Simulator.timeout`, which sets every field
+    directly on a bare instance (no ``__init__`` frame on the hot path).
+    """
 
     __slots__ = ("delay",)
-
-    def __init__(self, sim: "Simulator", delay: float, value: Any = None) -> None:
-        if delay < 0:
-            raise ValueError(f"negative timeout delay: {delay}")
-        # Hot path: sets every Event field directly (no super() chain) and
-        # pushes the pre-triggered event onto the heap in one go.
-        self.sim = sim
-        pool = sim._cb_pool
-        self.callbacks = pool.pop() if pool else []
-        self._value = value
-        self._ok = True
-        self._state = Event.TRIGGERED
-        self._defused = False
-        self.delay = delay
-        sim._seq = seq = sim._seq + 1
-        heappush(sim._queue, (sim._now + delay, NORMAL, seq, self))
-
-
-class _Interruption(Event):
-    """Urgent helper event that throws :class:`Interrupt` into a process."""
-
-    __slots__ = ("process",)
-
-    def __init__(self, process: "Process", cause: Any) -> None:
-        super().__init__(process.sim)
-        self.process = process
-        self._ok = False
-        self._value = Interrupt(cause)
-        self._defused = True
-        self._state = Event.TRIGGERED
-        self.callbacks.append(self._apply)
-        self.sim._push(self, delay=0.0, priority=URGENT)
-
-    def _apply(self, event: Event) -> None:
-        proc = self.process
-        if proc.triggered:  # process already finished; nothing to interrupt
-            return
-        # Detach the process from whatever it currently waits on, then make
-        # the interruption the thing that resumes it.
-        if proc._target is not None and proc._target.callbacks is not None:
-            try:
-                proc._target.callbacks.remove(proc._resume)
-            except ValueError:
-                pass
-        proc._resume(self)
 
 
 class Process(Event):
     """A running generator.  As an :class:`Event` it triggers when the
     generator returns (value = return value) or raises (failure)."""
 
-    __slots__ = ("gen", "name", "_target")
+    __slots__ = ("gen", "name")
 
     def __init__(self, sim: "Simulator", gen: ProcessGenerator,
                  name: Optional[str] = None) -> None:
@@ -225,7 +169,6 @@ class Process(Event):
         super().__init__(sim)
         self.gen = gen
         self.name = name or getattr(gen, "__name__", "process")
-        self._target: Optional[Event] = None
         # Kick the process off via an initialization event at the current time.
         init = Event(sim)
         init._ok = True
@@ -239,69 +182,49 @@ class Process(Event):
         """True while the generator has not finished."""
         return self._state == Event.PENDING
 
-    @property
-    def target(self) -> Optional[Event]:
-        """The event this process currently waits on (None if just started)."""
-        return self._target
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time."""
-        if not self.is_alive:
-            raise SimulationError(f"{self.name} has terminated; cannot interrupt")
-        _Interruption(self, cause)
-
     def _resume(self, event: Event) -> None:
         sim = self.sim
-        sim._active_process = self
         gen = self.gen
         send = gen.send
-        try:
-            while True:
+        while True:
+            try:
+                if event._ok:
+                    target = send(event._value)
+                else:
+                    event._defused = True
+                    target = gen.throw(event._value)
+            except StopIteration as stop:
+                self.succeed(stop.value)
+                return
+            except BaseException as exc:
+                if isinstance(exc, (KeyboardInterrupt, SystemExit)):
+                    raise
+                self.fail(exc)
+                return
+
+            if not isinstance(target, Event):
+                msg = (f"process {self.name!r} yielded {target!r}; "
+                       f"processes must yield Event instances")
+                err = SimulationError(msg)
                 try:
-                    if event._ok:
-                        target = send(event._value)
-                    else:
-                        event._defused = True
-                        target = gen.throw(event._value)
+                    gen.throw(err)
                 except StopIteration as stop:
-                    self._target = None
                     self.succeed(stop.value)
                     return
-                except BaseException as exc:
-                    self._target = None
-                    if isinstance(exc, (KeyboardInterrupt, SystemExit)):
-                        raise
-                    self.fail(exc)
+                except SimulationError:
+                    self.fail(err)
                     return
-
-                if not isinstance(target, Event):
-                    msg = (f"process {self.name!r} yielded {target!r}; "
-                           f"processes must yield Event instances")
-                    err = SimulationError(msg)
-                    try:
-                        gen.throw(err)
-                    except StopIteration as stop:
-                        self._target = None
-                        self.succeed(stop.value)
-                        return
-                    except SimulationError:
-                        self._target = None
-                        self.fail(err)
-                        return
-                if target.sim is not sim:
-                    raise SimulationError(
-                        f"process {self.name!r} yielded an event from a "
-                        f"different simulator")
-                cbs = target.callbacks
-                if cbs is None:
-                    # Already processed: resume immediately with its value.
-                    event = target
-                    continue
-                cbs.append(self._resume)
-                self._target = target
-                return
-        finally:
-            sim._active_process = None
+            if target.sim is not sim:
+                raise SimulationError(
+                    f"process {self.name!r} yielded an event from a "
+                    f"different simulator")
+            cbs = target.callbacks
+            if cbs is None:
+                # Already processed: resume immediately with its value.
+                event = target
+                continue
+            cbs.append(self._resume)
+            return
 
     def __repr__(self) -> str:
         return f"<Process {self.name!r} alive={self.is_alive}>"
@@ -378,7 +301,6 @@ class Simulator:
         self._now = float(start_time)
         self._queue: list[tuple[float, int, int, Event]] = []
         self._seq = 0
-        self._active_process: Optional[Process] = None
         self._event_count = 0
         # Free pool of empty callback lists: Event.__init__ pops, the run
         # loop returns each processed event's (cleared) list.  Purely an
@@ -390,11 +312,6 @@ class Simulator:
     def now(self) -> float:
         """Current simulated time."""
         return self._now
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently being resumed, if any."""
-        return self._active_process
 
     @property
     def event_count(self) -> int:
@@ -409,9 +326,9 @@ class Simulator:
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """An event that fires ``delay`` time units from now.
 
-        Hot path: builds the :class:`Timeout` without the ``__init__``
-        call frame (one frame per event adds up) — keep the field
-        assignments in sync with :meth:`Timeout.__init__`.
+        Hot path: builds the :class:`Timeout` without an ``__init__``
+        call frame (one frame per event adds up), setting every
+        :class:`Event` field directly.
         """
         if delay < 0:
             raise ValueError(f"negative timeout delay: {delay}")
@@ -450,20 +367,7 @@ class Simulator:
         heappush(self._queue, (self._now, URGENT, seq, ev))
         return ev
 
-    # Alias familiar to simpy users.
-    process = spawn
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        return AllOf(self, events)
-
     # -- scheduling ----------------------------------------------------------
-    def _push(self, event: Event, delay: float, priority: int) -> None:
-        self._seq += 1
-        heapq.heappush(self._queue, (self._now + delay, priority, self._seq, event))
-
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
         return self._queue[0][0] if self._queue else float("inf")
@@ -472,6 +376,10 @@ class Simulator:
         """Process exactly one event.
 
         :meth:`run` inlines this body for speed; keep the two in sync.
+        Kept (with :meth:`peek`) for callers that must bound a run by an
+        event budget rather than a clock: the fair-share oracle test
+        single-steps under a budget so a station livelock fails instead
+        of hanging.
         """
         if not self._queue:
             raise SimulationError("step() on an empty event queue")
@@ -524,7 +432,7 @@ class Simulator:
                 stopper._state = Event.TRIGGERED
                 stopper.callbacks = [lambda ev: (_ for _ in ()).throw(StopSimulation(None))]
                 self._seq += 1
-                heapq.heappush(self._queue, (at, URGENT, self._seq, stopper))
+                heappush(self._queue, (at, URGENT, self._seq, stopper))
         # Hot loop: an inlined copy of step() (kept in sync by hand) with
         # bound locals — the method-call and attribute-lookup overhead per
         # event is the single largest kernel cost.

@@ -18,7 +18,7 @@ from .http import (
     parse_url,
     redirect_response,
 )
-from .metrics import Metrics, PHASE_NAMES, RequestRecord
+from .metrics import Metrics, PHASE_NAMES, RequestRecord, Summary
 from .resolver import AuthoritativeDNS, LocalResolver
 from .server import Connection, HTTPServer
 
@@ -43,6 +43,7 @@ __all__ = [
     "RequestRecord",
     "RoundRobinDNS",
     "STATUS_REASONS",
+    "Summary",
     "UCSB_CLIENT",
     "extract_images",
     "extract_links",

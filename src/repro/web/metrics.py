@@ -9,12 +9,13 @@ server-side CPU shares.  Everything here exists to produce those numbers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterable, Optional
 
-from ..obs import LATENCY_BUCKETS, MetricsRegistry, percentile
-from ..sim import PhaseAccumulator, Summary, Tally
+import numpy as np
 
-__all__ = ["RequestRecord", "Metrics", "PHASE_NAMES"]
+from ..obs import LATENCY_BUCKETS, MetricsRegistry, percentile, percentiles
+
+__all__ = ["RequestRecord", "Metrics", "PHASE_NAMES", "Summary"]
 
 #: Canonical phase keys, matching Table 5's row labels.
 PHASE_NAMES = (
@@ -24,6 +25,46 @@ PHASE_NAMES = (
     "data_transfer",    # disk/cache/NFS read + pushing bytes to the client
     "network",          # DNS, connect, WAN latencies
 )
+
+
+@dataclass(frozen=True)
+class Summary:
+    """Immutable numeric summary of a sample (response times)."""
+
+    count: int
+    mean: float
+    std: float
+    minimum: float
+    maximum: float
+    p50: float
+    p90: float
+    p99: float
+    total: float
+
+    @staticmethod
+    def empty() -> "Summary":
+        nan = float("nan")
+        return Summary(0, nan, nan, nan, nan, nan, nan, nan, 0.0)
+
+    @staticmethod
+    def of(values: Iterable[float]) -> "Summary":
+        arr = np.asarray(list(values), dtype=float)
+        if arr.size == 0:
+            return Summary.empty()
+        # Percentile math comes from repro.obs, the one shared
+        # implementation, so every reported "p95" agrees.
+        p50, p90, p99 = percentiles(arr, (50, 90, 99))
+        return Summary(
+            count=int(arr.size),
+            mean=float(arr.mean()),
+            std=float(arr.std()),
+            minimum=float(arr.min()),
+            maximum=float(arr.max()),
+            p50=float(p50),
+            p90=float(p90),
+            p99=float(p99),
+            total=float(arr.sum()),
+        )
 
 
 @dataclass
@@ -132,21 +173,17 @@ class Metrics:
     def drop_rate(self) -> float:
         return self.dropped / self.total if self.total else 0.0
 
-    def response_times(self, only_ok: bool = True) -> Tally:
-        tally = Tally("response_time")
-        for rec in self.records:
-            if rec.dropped or rec.end is None:
-                continue
-            if only_ok and not rec.ok:
-                continue
-            tally.record(rec.response_time)
-        return tally
+    def response_times(self, only_ok: bool = True) -> list[float]:
+        return [rec.end - rec.start for rec in self.records
+                if not rec.dropped and rec.end is not None
+                and (rec.ok or not only_ok)]
 
     def response_summary(self) -> Summary:
-        return self.response_times().summary()
+        return Summary.of(self.response_times())
 
     def mean_response_time(self) -> float:
-        return self.response_times().mean
+        times = self.response_times()
+        return float(np.mean(times)) if times else float("nan")
 
     def response_percentile(self, q: float, only_ok: bool = True) -> float:
         """Exact response-time percentile over completed requests.
@@ -155,7 +192,7 @@ class Metrics:
         the same math as :class:`Summary` — so reports quoting "p95"
         can never disagree with the summary table (``nan`` when no
         requests completed)."""
-        return percentile(self.response_times(only_ok=only_ok).values, q)
+        return percentile(self.response_times(only_ok=only_ok), q)
 
     def throughput(self, duration: float) -> float:
         """Completed requests per second over ``duration``."""
@@ -163,15 +200,20 @@ class Metrics:
             raise ValueError(f"duration must be > 0, got {duration}")
         return self.completed / duration
 
-    def phase_breakdown(self, only_ok: bool = True) -> PhaseAccumulator:
-        """Average per-phase costs across requests (Table 5)."""
-        acc = PhaseAccumulator()
+    def phase_means(self, only_ok: bool = True) -> dict[str, float]:
+        """Mean per-phase cost across requests, by phase name (Table 5).
+
+        Each phase's durations are summed in record order, then divided
+        by the number of requests that spent time in that phase."""
+        totals: dict[str, float] = {}
+        counts: dict[str, int] = {}
         for rec in self.records:
             if rec.dropped or (only_ok and not rec.ok):
                 continue
             for phase, duration in rec.phases.items():
-                acc.record(phase, duration)
-        return acc
+                totals[phase] = totals.get(phase, 0.0) + duration
+                counts[phase] = counts.get(phase, 0) + 1
+        return {phase: totals[phase] / counts[phase] for phase in sorted(totals)}
 
     # -- page cache (docs/CACHING.md) -------------------------------------
     def record_page_cache(self, node: int, hits: float, misses: float,
@@ -190,17 +232,6 @@ class Metrics:
             for key in totals:
                 totals[key] += stats.get(key, 0.0)
         return totals
-
-    def page_cache_hit_rate(self) -> float:
-        """Aggregate page-cache hit rate (0.0 when nothing recorded)."""
-        totals = self.page_cache_totals()
-        lookups = totals["hits"] + totals["misses"]
-        return totals["hits"] / lookups if lookups else 0.0
-
-    def served_from_cache(self) -> int:
-        """Completed requests whose bytes came from RAM (record.source)."""
-        return sum(1 for rec in self.records
-                   if rec.ok and rec.source == "cache")
 
     def served_by_histogram(self) -> dict[int, int]:
         """How many completed requests each node fulfilled."""

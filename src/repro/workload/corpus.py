@@ -84,10 +84,6 @@ class Corpus:
         return [d.path for d in self.documents]
 
     @property
-    def all_paths(self) -> list[str]:
-        return self.paths + [c.path for c in self.cgis]
-
-    @property
     def total_bytes(self) -> float:
         return sum(d.size for d in self.documents)
 

@@ -15,3 +15,14 @@ def lint_cache():
     each file once per session instead of once per test.
     """
     return ContextCache()
+
+
+@pytest.fixture
+def cached_lint_cli(lint_cache, monkeypatch):
+    """``sweb-repro lint`` parsing through the session :func:`lint_cache`.
+
+    ``repro.lint.runner.run_cli`` builds a private ``ContextCache`` per
+    call; the live-tree CLI tests patch that constructor to hand back the
+    shared one, so the CLI runs the same checks without re-parsing.
+    """
+    monkeypatch.setattr("repro.lint.runner.ContextCache", lambda: lint_cache)

@@ -77,6 +77,49 @@ def test_cli_replay_empty_log(tmp_path, capsys):
     assert main(["replay", str(log)]) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    "serve --nodes 0",
+    "serve --rps 0",
+    "serve --duration -1",
+    "serve --duration nan",
+    "serve --files 0",
+    "serve --file-size -5",
+    "serve --zipf -1",
+    "serve --zipf 0",
+    "serve --geo --rps 0",
+    "serve --geo --duration 0",
+    "bench --repeats 0",
+    "replay {missing}",
+    "fuzz --replay {missing}",
+    "fuzz --replay {not_json}",
+    "fuzz --replay {unknown_field}",
+    "replay {log} --config {not_json}",
+    "replay {log} --config {unknown_key}",
+    "replay {log} --config {zero_nodes}",
+])
+def test_cli_bad_input_exits_2_without_traceback(argv, tmp_path, capsys):
+    files = {
+        "log": ('a.ucsb.edu - - [15/Apr/1996:09:00:00 +0000] '
+                '"GET /x.html HTTP/1.0" 200 4096\n'),
+        "not_json": "not json\n",
+        "unknown_field": '{"case": {"bogus": 1}}\n',
+        "unknown_key": '{"scheduler": {"bogus": 1}}\n',
+        "zero_nodes": '{"cluster": {"preset": "meiko", "nodes": 0}}\n',
+    }
+    paths = {"missing": str(tmp_path / "missing")}
+    for name, text in files.items():
+        path = tmp_path / name
+        path.write_text(text)
+        paths[name] = str(path)
+    try:
+        code = main(argv.format(**paths).split())
+    except SystemExit as exc:      # argparse rejects the flag value
+        code = exc.code
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.strip() and "Traceback" not in err
+
+
 # -- observability flags (docs/TRACING.md) ---------------------------------
 
 def test_parser_trace_flags():

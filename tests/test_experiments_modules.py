@@ -14,7 +14,13 @@ from repro.experiments import (
 )
 from repro.experiments.base import ExperimentReport
 from repro.experiments.table1 import max_rps_cell
-from repro.experiments.tables import ComparisonRow, render_comparison, render_table
+from repro.experiments.tables import (
+    ComparisonRow,
+    ascii_series,
+    ascii_sparkline,
+    render_comparison,
+    render_table,
+)
 from repro.experiments import paper_data
 
 
@@ -81,6 +87,34 @@ def test_render_comparison_verdicts():
             ComparisonRow("z", 1, 2, "check", ok=None)]
     text = render_comparison(rows)
     assert "yes" in text and "NO" in text
+
+
+def test_sparkline_shape():
+    line = ascii_sparkline([0, 1, 2, 3, 4])
+    assert len(line) == 5
+    assert line[0] < line[-1]        # block characters sort by height
+
+
+def test_sparkline_constant_and_empty():
+    assert ascii_sparkline([]) == ""
+    flat = ascii_sparkline([3, 3, 3])
+    assert len(set(flat)) == 1
+
+
+def test_sparkline_compresses_to_width():
+    line = ascii_sparkline(range(1000), width=40)
+    assert len(line) == 40
+
+
+def test_ascii_series_renders():
+    text = ascii_series([0, 1, 5, 2], height=4, label="t")
+    assert "█" in text
+    assert text.count("\n") >= 4
+    assert "t" in text
+
+
+def test_ascii_series_empty():
+    assert ascii_series([]) == "(no data)"
 
 
 def test_experiment_report_shape_holds_logic():

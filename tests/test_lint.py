@@ -319,7 +319,7 @@ def test_live_tree_is_lint_clean(lint_cache):
 
 # -- CLI ------------------------------------------------------------------
 
-def test_cli_lint_exits_zero_on_clean_tree(capsys):
+def test_cli_lint_exits_zero_on_clean_tree(capsys, cached_lint_cli):
     assert cli_main(["lint"]) == 0
     assert capsys.readouterr().out == ""
 
@@ -349,7 +349,7 @@ def test_cli_lint_unparseable_file(tmp_path, capsys):
     assert "parse-error" in capsys.readouterr().out
 
 
-def test_cli_types_flag_degrades_without_mypy(capsys):
+def test_cli_types_flag_degrades_without_mypy(capsys, cached_lint_cli):
     # With mypy absent the pass is skipped with a notice; with mypy
     # present it must run and succeed — either way lint stays usable.
     code = cli_main(["lint", "--types"])

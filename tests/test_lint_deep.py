@@ -287,7 +287,7 @@ def test_committed_baseline_is_empty():
 
 # -- CLI ------------------------------------------------------------------
 
-def test_cli_deep_exits_zero_on_clean_tree(capsys):
+def test_cli_deep_exits_zero_on_clean_tree(capsys, cached_lint_cli):
     assert cli_main(["lint", "--deep"]) == 0
     assert capsys.readouterr().out == ""
 

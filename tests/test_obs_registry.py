@@ -23,7 +23,7 @@ from repro.obs import (
     percentile,
     percentiles,
 )
-from repro.sim import Summary, Tally
+from repro.web import Summary
 
 
 # -- counters --------------------------------------------------------------
@@ -265,21 +265,18 @@ def test_percentile_helpers_agree_with_numpy():
 
 
 def test_every_percentile_producer_agrees():
-    """Summary, Tally, Metrics and the obs helper share one definition."""
+    """Summary, Metrics and the obs helper share one definition."""
     from repro.web import Metrics
 
     values = [0.12, 0.5, 0.33, 1.8, 0.07, 0.95, 2.4, 0.61]
     summary = Summary.of(values)
-    tally = Tally()
     metrics = Metrics()
     for i, v in enumerate(values):
-        tally.record(v)
         rec = metrics.new_record(f"/doc{i}", start=10.0 * i)
         metrics.finish(rec, end=10.0 * i + v, status=200)
     for q in (50, 90, 99):
         expected = float(np.percentile(values, q))
         assert percentile(values, q) == pytest.approx(expected)
-        assert tally.percentile(q) == pytest.approx(expected)
         assert metrics.response_percentile(q) == pytest.approx(expected)
     assert summary.p50 == pytest.approx(float(np.percentile(values, 50)))
     assert summary.p90 == pytest.approx(float(np.percentile(values, 90)))

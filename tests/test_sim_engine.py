@@ -6,7 +6,6 @@ from repro.sim import (
     AllOf,
     AnyOf,
     Event,
-    Interrupt,
     SimulationError,
     Simulator,
 )
@@ -203,63 +202,6 @@ def test_waiting_on_already_processed_event_resumes_immediately():
     sim.spawn(late_waiter())
     sim.run()
     assert log == [(5.0, "早い")]
-
-
-def test_interrupt_wakes_process_early():
-    sim = Simulator()
-    log = []
-
-    def sleeper():
-        try:
-            yield sim.timeout(100.0)
-            log.append("slept")
-        except Interrupt as inter:
-            log.append(("interrupted", sim.now, inter.cause))
-
-    proc = sim.spawn(sleeper())
-
-    def interrupter():
-        yield sim.timeout(2.0)
-        proc.interrupt("wake up")
-
-    sim.spawn(interrupter())
-    sim.run()
-    assert log == [("interrupted", 2.0, "wake up")]
-
-
-def test_interrupt_dead_process_rejected():
-    sim = Simulator()
-
-    def quick():
-        yield sim.timeout(1.0)
-
-    proc = sim.spawn(quick())
-    sim.run()
-    with pytest.raises(SimulationError):
-        proc.interrupt()
-
-
-def test_interrupted_process_can_continue():
-    sim = Simulator()
-    log = []
-
-    def sleeper():
-        try:
-            yield sim.timeout(100.0)
-        except Interrupt:
-            pass
-        yield sim.timeout(1.0)
-        log.append(sim.now)
-
-    proc = sim.spawn(sleeper())
-
-    def interrupter():
-        yield sim.timeout(2.0)
-        proc.interrupt()
-
-    sim.spawn(interrupter())
-    sim.run()
-    assert log == [3.0]
 
 
 def test_anyof_first_wins():

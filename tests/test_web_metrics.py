@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.web.metrics import Metrics, PHASE_NAMES, RequestRecord
+from repro.web.metrics import Metrics, PHASE_NAMES, RequestRecord, Summary
 
 
 def test_phase_names_match_table5_rows():
@@ -57,10 +57,9 @@ def test_response_times_filtering():
     metrics.finish(bad, end=9.0, status=404)
     dropped = metrics.new_record("/c", start=0.0)
     metrics.drop(dropped, end=1.0, reason="refused")
-    only_ok = metrics.response_times(only_ok=True)
-    assert only_ok.count == 1 and only_ok.mean == pytest.approx(2.0)
-    with_errors = metrics.response_times(only_ok=False)
-    assert with_errors.count == 2
+    assert metrics.response_times(only_ok=True) == [2.0]
+    assert metrics.response_times(only_ok=False) == [2.0, 9.0]
+    assert metrics.mean_response_time() == pytest.approx(2.0)
 
 
 def test_throughput_and_validation():
@@ -73,15 +72,40 @@ def test_throughput_and_validation():
         metrics.throughput(0.0)
 
 
-def test_phase_breakdown_aggregates():
+def test_phase_means_aggregates():
     metrics = Metrics()
     for duration in (1.0, 3.0):
         rec = metrics.new_record("/a", start=0.0)
         rec.add_phase("data_transfer", duration)
         metrics.finish(rec, end=duration, status=200)
-    acc = metrics.phase_breakdown()
-    assert acc.mean("data_transfer") == pytest.approx(2.0)
-    assert acc.count("data_transfer") == 2
+    rec = metrics.new_record("/b", start=0.0)
+    rec.add_phase("preprocessing", 0.5)
+    metrics.finish(rec, end=0.5, status=200)
+    failed = metrics.new_record("/c", start=0.0)
+    failed.add_phase("data_transfer", 100.0)
+    metrics.finish(failed, end=100.0, status=404)
+    means = metrics.phase_means()
+    assert list(means) == ["data_transfer", "preprocessing"]
+    assert means["data_transfer"] == pytest.approx(2.0)
+    assert means["preprocessing"] == pytest.approx(0.5)
+    assert metrics.phase_means(only_ok=False)["data_transfer"] == \
+        pytest.approx(104.0 / 3)
+
+
+def test_summary_of_values():
+    s = Summary.of([1.0, 2.0, 3.0, 4.0])
+    assert s.count == 4
+    assert s.mean == pytest.approx(2.5)
+    assert s.minimum == 1.0 and s.maximum == 4.0
+    assert s.total == pytest.approx(10.0)
+    assert s.p50 == pytest.approx(2.5)
+
+
+def test_summary_empty():
+    s = Summary.of([])
+    assert s.count == 0
+    assert math.isnan(s.mean)
+    assert s.total == 0.0
 
 
 def test_served_by_histogram_counts_only_ok():
