@@ -1,5 +1,4 @@
 """Interconnect and wide-area network models.
-
 Three different fabrics appear in the paper:
 
 * the Meiko CS-2's **fat-tree** (40 MB/s per port, essentially
@@ -15,7 +14,7 @@ Three different fabrics appear in the paper:
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Optional
+from typing import Any, Callable, Iterable, Optional
 
 from ..sim import AllOf, Event, FairShareServer, Simulator
 
@@ -27,6 +26,21 @@ __all__ = [
     "WANPath",
     "Internet",
 ]
+
+
+def _after_latency(sim: Simulator, latency: float,
+                   fn: Callable[[Event], None]) -> None:
+    """Call ``fn`` ``latency`` seconds from now as a process-free chain
+    (docs/PERFORMANCE.md): a deferred start, then a timer if the latency
+    is positive — the heap slots a generator pump's start and its
+    latency timeout used to take, so scheduling order is unchanged."""
+    def start(ev: Event) -> None:
+        if latency > 0:
+            sim.timeout(latency).callbacks.append(fn)
+        else:
+            fn(ev)
+
+    sim.defer(start)
 
 
 class Link:
@@ -53,19 +67,11 @@ class Link:
         self.bytes_sent += nbytes
         done = Event(self.sim)
 
-        # Process-free callback chain (docs/PERFORMANCE.md): scheduling
-        # order matches the old generator pump exactly.
         def queue_job(_ev: Event) -> None:
             job = self.server.submit(nbytes, cap=cap, tag=tag)
             job.done.callbacks.append(lambda ev: done.succeed(nbytes))
 
-        def start(_ev: Event) -> None:
-            if self.latency > 0:
-                self.sim.timeout(self.latency).callbacks.append(queue_job)
-            else:
-                queue_job(_ev)
-
-        self.sim.defer(start)
+        _after_latency(self.sim, self.latency, queue_job)
         return done
 
     def __repr__(self) -> str:
@@ -98,17 +104,20 @@ class ClusterNetwork:
         raise NotImplementedError
 
     def multicast(self, src: int, dsts: Iterable[int], nbytes: float,
-                  tag: Any = None) -> list[Event]:
+                  arrive: Callable[[int], None], tag: Any = None) -> None:
         """Send one ``nbytes`` payload from ``src`` to every node in ``dsts``.
 
-        Returns one completion event per destination, in ``dsts`` order —
-        semantically identical to calling :meth:`transfer` in a loop, but
-        fabrics override it with a batched implementation that drives the
-        whole fan-out from a single simulator process (one spawn and one
-        latency timer instead of one per destination).  loadd's periodic
-        broadcasts — O(nodes²) transfers per period — are the main user.
+        Calls ``arrive(dst)`` when the copy for ``dst`` lands: at once for
+        loopback, never for a peer across a partition cut (counted in
+        :attr:`transfers_lost`), and otherwise when the fabric has carried
+        it; copies that land together arrive in ``dsts`` order.  Endpoints
+        are checked before anything is sent.  Fabrics carry a whole
+        fan-out in a constant number of kernel events per endpoint, where a
+        :meth:`transfer` per destination would cost several events each.
+        loadd's periodic broadcasts — O(nodes²) transfers per period — are
+        the main user.
         """
-        return [self.transfer(src, dst, nbytes, tag=tag) for dst in dsts]
+        raise NotImplementedError
 
     def node_load(self, node: int) -> int:
         """In-flight transfers that involve ``node`` (loadd's net metric)."""
@@ -155,6 +164,22 @@ class ClusterNetwork:
         self.transfers_lost += 1
         return Event(sim)
 
+    def _fan_out(self, src: int, dsts: list[int], nbytes: float,
+                 arrive: Callable[[int], None]) -> list[int]:
+        """Deliver a multicast's loopback copy, drop its cut peers, and
+        return the remote destinations in ``dsts`` order.  The caller has
+        validated every endpoint, so nothing here can fail half-way."""
+        remote = []
+        for dst in dsts:
+            if dst == src:
+                arrive(dst)
+            elif self.reachable(src, dst):
+                remote.append(dst)
+                self.bytes_sent += nbytes
+            else:
+                self.transfers_lost += 1
+        return remote
+
 
 class FatTreeNetwork(ClusterNetwork):
     """Meiko CS-2 style fabric: contention only at the endpoints.
@@ -194,61 +219,52 @@ class FatTreeNetwork(ClusterNetwork):
         done = Event(self.sim)
         self.bytes_sent += nbytes
 
-        # Process-free callback chain (docs/PERFORMANCE.md): scheduling
-        # order matches the old generator pump exactly.
         def open_stream(_ev: Event) -> None:
             out = self.ports[src].submit(nbytes, tag=tag)
             inn = self.ports[dst].submit(nbytes, tag=tag)
             both = AllOf(self.sim, [out.done, inn.done])
             both.callbacks.append(lambda ev: done.succeed(nbytes))
 
-        def start(_ev: Event) -> None:
-            if self.latency > 0:
-                self.sim.timeout(self.latency).callbacks.append(open_stream)
-            else:
-                open_stream(_ev)
-
-        self.sim.defer(start)
+        _after_latency(self.sim, self.latency, open_stream)
         return done
 
     def multicast(self, src: int, dsts: Iterable[int], nbytes: float,
-                  tag: Any = None) -> list[Event]:
-        """Batched fan-out: one process pays the latency once, then opens
-        every port-pair stream in ``dsts`` order — the same submissions in
-        the same order as per-destination :meth:`transfer` calls, without
-        a process/timer per destination."""
-        if nbytes < 0:
-            raise ValueError(f"negative transfer size: {nbytes}")
-        results: list[Event] = []
-        remote: list[tuple[int, Event]] = []
-        for dst in dsts:
-            if not (0 <= src < self.nodes and 0 <= dst < self.nodes):
+                  arrive: Callable[[int], None], tag: Any = None) -> None:
+        """Fan-out in O(1) kernel events per port: after one latency, one
+        ``copies=k`` job on the source port carries all k streams' sending
+        ends and one job per destination port the receiving end; a copy
+        arrives once both ends of its stream have finished."""
+        dsts = list(dsts)
+        for dst in (src, *dsts):
+            if not 0 <= dst < self.nodes:
                 raise ValueError(
                     f"bad endpoints {src}->{dst} (nodes={self.nodes})")
-            if src == dst:
-                done = Event(self.sim)
-                done.succeed(nbytes)
-            elif not self.reachable(src, dst):
-                done = self._lost(src, dst, self.sim)
-            else:
-                self.bytes_sent += nbytes
-                done = Event(self.sim)
-                remote.append((dst, done))
-            results.append(done)
-        if remote:
-            def pump():
-                if self.latency > 0:
-                    yield self.sim.timeout(self.latency)
-                out_port = self.ports[src]
-                for dst, done in remote:
-                    out = out_port.submit(nbytes, tag=tag)
-                    inn = self.ports[dst].submit(nbytes, tag=tag)
-                    both = AllOf(self.sim, [out.done, inn.done])
-                    both.callbacks.append(
-                        lambda ev, d=done: d.succeed(nbytes))
+        if nbytes < 0:
+            raise ValueError(f"negative transfer size: {nbytes}")
+        remote = self._fan_out(src, dsts, nbytes, arrive)
+        if not remote:
+            return
+        # Ends still in flight per stream: the shared source job and the
+        # stream's own destination job.
+        pending = [2] * len(remote)
 
-            self.sim.spawn(pump(), name=f"{self.name}.mcast")
-        return results
+        def end_done(i: int) -> None:
+            pending[i] -= 1
+            if not pending[i]:
+                arrive(remote[i])
+
+        def sent(_ev: Event) -> None:
+            for i in range(len(remote)):
+                end_done(i)
+
+        def open_streams(_ev: Event) -> None:
+            out = self.ports[src].submit(nbytes, tag=tag, copies=len(remote))
+            out.done.callbacks.append(sent)
+            for i, dst in enumerate(remote):
+                inn = self.ports[dst].submit(nbytes, tag=tag)
+                inn.done.callbacks.append(lambda ev, i=i: end_done(i))
+
+        _after_latency(self.sim, self.latency, open_streams)
 
     def node_load(self, node: int) -> int:
         return self.ports[node].njobs
@@ -289,53 +305,33 @@ class SharedBusNetwork(ClusterNetwork):
         done = Event(self.sim)
         self.bytes_sent += nbytes
 
-        # Process-free callback chain (docs/PERFORMANCE.md): scheduling
-        # order matches the old generator pump exactly.
         def queue_job(_ev: Event) -> None:
             job = self.bus.submit(nbytes, tag=tag)
             job.done.callbacks.append(lambda ev: done.succeed(nbytes))
 
-        def start(_ev: Event) -> None:
-            if self.latency > 0:
-                self.sim.timeout(self.latency).callbacks.append(queue_job)
-            else:
-                queue_job(_ev)
-
-        self.sim.defer(start)
+        _after_latency(self.sim, self.latency, queue_job)
         return done
 
     def multicast(self, src: int, dsts: Iterable[int], nbytes: float,
-                  tag: Any = None) -> list[Event]:
-        """Batched fan-out over the shared medium: one process pays the
-        latency once, then queues one bus job per destination in ``dsts``
-        order — the same contention as per-destination :meth:`transfer`
-        calls, without a process/timer per destination."""
+                  arrive: Callable[[int], None], tag: Any = None) -> None:
+        """Fan-out over the shared medium in O(1) kernel events: after one
+        latency, a single ``copies=k`` bus job carries all k copies, which
+        contend on the bus exactly as k separate transfers would."""
         if nbytes < 0:
             raise ValueError(f"negative transfer size: {nbytes}")
-        results: list[Event] = []
-        remote: list[Event] = []
-        for dst in dsts:
-            if src == dst:
-                done = Event(self.sim)
-                done.succeed(nbytes)
-            elif not self.reachable(src, dst):
-                done = self._lost(src, dst, self.sim)
-            else:
-                self.bytes_sent += nbytes
-                done = Event(self.sim)
-                remote.append(done)
-            results.append(done)
-        if remote:
-            def pump():
-                if self.latency > 0:
-                    yield self.sim.timeout(self.latency)
-                for done in remote:
-                    job = self.bus.submit(nbytes, tag=tag)
-                    job.done.callbacks.append(
-                        lambda ev, d=done: d.succeed(nbytes))
+        remote = self._fan_out(src, list(dsts), nbytes, arrive)
+        if not remote:
+            return
 
-            self.sim.spawn(pump(), name=f"{self.name}.mcast")
-        return results
+        def delivered(_ev: Event) -> None:
+            for dst in remote:
+                arrive(dst)
+
+        def queue_job(_ev: Event) -> None:
+            job = self.bus.submit(nbytes, tag=tag, copies=len(remote))
+            job.done.callbacks.append(delivered)
+
+        _after_latency(self.sim, self.latency, queue_job)
 
     def node_load(self, node: int) -> int:
         # A bus is global: every node observes the same contention.
@@ -383,17 +379,9 @@ class Internet:
         self.bytes_sent += nbytes
         done = Event(self.sim)
 
-        # Process-free callback chain (docs/PERFORMANCE.md): scheduling
-        # order matches the old generator pump exactly.
         def queue_job(_ev: Event) -> None:
             job = nic.submit(nbytes, cap=path.bandwidth, tag=tag)
             job.done.callbacks.append(lambda ev: done.succeed(nbytes))
 
-        def start(_ev: Event) -> None:
-            if path.latency > 0:
-                self.sim.timeout(path.latency).callbacks.append(queue_job)
-            else:
-                queue_job(_ev)
-
-        self.sim.defer(start)
+        _after_latency(self.sim, path.latency, queue_job)
         return done

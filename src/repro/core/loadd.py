@@ -183,31 +183,23 @@ class LoadDaemon:
                 timestamp=self.sim.now)
             self.directory.update(report)
             msg_bytes += self.params.cache_report_bytes * len(report.paths)
-        # One batched fan-out: the fabric drives every peer delivery from
-        # a single process instead of spawning one per peer per period.
+        # One fan-out: the fabric carries every peer's copy in a constant
+        # number of kernel events and calls `arrive` as each one lands.
         peers = [pid for pid in self.peer_views if pid != self.node.id]
-        events = self.network.multicast(self.node.id, peers, msg_bytes,
-                                        tag="loadd")
         if self._counters is not None:
             self._counters.incr("broadcasts")
             self._counters.incr("messages", by=len(peers))
         if self._bytes_gauge is not None:
             self._bytes_gauge.add(msg_bytes * len(peers))
-        for peer_id, done in zip(peers, events):
-            self.messages_sent += 1
+        self.messages_sent += len(peers)
+        for _ in peers:
             self.bytes_sent += msg_bytes
 
-            def deliver(_ev: Event,
-                        view: ClusterView = self.peer_views[peer_id],
-                        s: LoadSnapshot = snap,
-                        directory: Optional[CacheDirectory] =
-                        self.peer_directories.get(peer_id),
-                        r: Optional[CacheReport] = report) -> None:
-                view.update(s)
-                if directory is not None and r is not None:
-                    directory.update(r)
+        def arrive(peer_id: int) -> None:
+            self.peer_views[peer_id].update(snap)
+            directory = self.peer_directories.get(peer_id)
+            if directory is not None and report is not None:
+                directory.update(report)
 
-            if done.callbacks is None:
-                deliver(done)
-            else:
-                done.callbacks.append(deliver)
+        self.network.multicast(self.node.id, peers, msg_bytes, arrive,
+                               tag="loadd")

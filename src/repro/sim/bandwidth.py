@@ -33,6 +33,13 @@ below its fair share, so bound jobs are the common case there, not an
 exception.  Jobs that end together finish in submission order; the
 population, busy-time and work integrals are kept in O(1) per change, and
 ``V`` is rebased to 0 whenever no free job remains.
+
+**Copies.**  ``submit(..., copies=k)`` enters k identical uncapped jobs
+submitted at the same instant as one entry of weight ``k * weight`` and
+work ``k * work``.  Its finish tag ``V + work / weight`` is each copy's,
+so one heap entry and one completion stand for all k; ``njobs``, the
+integrals and ``jobs_completed`` count every copy.  A loadd broadcast
+uses it to put its whole fan-out on a shared medium in O(1).
 """
 
 from __future__ import annotations
@@ -60,16 +67,18 @@ _Entry = tuple[float, int, int, "Job"]
 class Job:
     """One unit of work in service at a :class:`FairShareServer`."""
 
-    __slots__ = ("server", "work", "weight", "cap", "tag", "done",
+    __slots__ = ("server", "work", "weight", "cap", "tag", "copies", "done",
                  "submitted_at", "finished_at", "_state", "_key", "_epoch",
-                 "_seq", "_cap", "_bind_level", "_rem")
+                 "_seq", "_cap", "_bind_level", "_rem", "_tol")
 
     def __init__(self, server: "FairShareServer", work: float, weight: float,
-                 cap: Optional[float], tag: Any) -> None:
+                 cap: Optional[float], tag: Any, copies: int) -> None:
         self.server = server
-        self.work = float(work)
-        self.weight = float(weight)
+        #: Totals over all copies: work and weight are k times one copy's.
+        self.work = float(work) * copies
+        self.weight = float(weight) * copies
         self.cap = cap
+        self.copies = copies
         self.tag = tag
         #: Event that fires (with the job as value) when service completes.
         self.done: Event = Event(server.sim)
@@ -85,10 +94,12 @@ class Job:
         self._cap = _INF if cap is None else float(cap)
         self._bind_level = (self._cap + _EPS) / self.weight
         self._rem = self.work  # remaining work while out of service
+        # Completion tolerance: each copy's eps * max(work, 1), k times over.
+        self._tol = _EPS * (self.work if self.work > copies else copies)
 
     @property
     def remaining(self) -> float:
-        """Work units still to serve, as of the current simulated time."""
+        """Work units still to serve (over all copies), as of now."""
         state = self._state
         if state == _FREE:
             srv = self.server
@@ -102,7 +113,7 @@ class Job:
 
     @property
     def rate(self) -> float:
-        """Service rate currently allocated to this job."""
+        """Service rate currently allocated to this job (all copies)."""
         state = self._state
         if state == _FREE:
             return self.weight * self.server._level
@@ -134,8 +145,10 @@ class FairShareServer:
         self.sim = sim
         self.name = name
         self._rate = float(rate)
-        # Jobs in service, in submission order (a dict used as an ordered set).
+        # Jobs in service, in submission order (a dict used as an ordered set),
+        # and the number of copies they hold.
         self._jobs: dict[Job, None] = {}
+        self._ncopies = 0
         self._seq = 0
         self._last_update = sim.now
         # Free jobs: virtual clock, level (rate per unit weight), Σ weights.
@@ -168,8 +181,8 @@ class FairShareServer:
 
     @property
     def njobs(self) -> int:
-        """Number of jobs currently in service."""
-        return len(self._jobs)
+        """Number of jobs currently in service, counting every copy."""
+        return self._ncopies
 
     @property
     def jobs(self) -> tuple[Job, ...]:
@@ -187,12 +200,19 @@ class FairShareServer:
         return self._jobs_completed
 
     def submit(self, work: float, weight: float = 1.0,
-               cap: Optional[float] = None, tag: Any = None) -> Job:
+               cap: Optional[float] = None, tag: Any = None,
+               copies: int = 1) -> Job:
         """Enter a job of ``work`` units; ``job.done`` fires at completion.
 
         ``cap`` bounds the rate this single job may receive (e.g. a WAN
-        client whose modem is slower than the server's link).
+        client whose modem is slower than the server's link).  ``copies=k``
+        enters k identical uncapped jobs as one (see the module docstring);
+        ``job.done`` then fires once, when all k finish together.
         """
+        if copies < 1:
+            raise ValueError(f"copies must be >= 1, got {copies}")
+        if copies > 1 and cap is not None:
+            raise ValueError("a job with copies > 1 cannot be capped")
         if work < 0:
             raise ValueError(f"negative work: {work}")
         if weight <= 0:
@@ -200,16 +220,17 @@ class FairShareServer:
         if cap is not None and cap <= 0:
             raise ValueError(f"cap must be > 0, got {cap}")
         self._advance()
-        job = Job(self, work, weight, cap, tag)
-        if job.work <= _EPS:
+        job = Job(self, work, weight, cap, tag, copies)
+        if work <= _EPS:
             job._rem = 0.0
             job.finished_at = self.sim.now
-            self._jobs_completed += 1
+            self._jobs_completed += copies
             job.done.succeed(job)
         else:
             self._seq = seq = self._seq + 1
             job._seq = seq
             self._jobs[job] = None
+            self._ncopies += copies
             # Enter bound when the job stays bound at the level its own cap
             # leaves the free jobs; _settle then moves only the others.
             spare = self._rate - self._capsum - job._cap
@@ -325,6 +346,7 @@ class FairShareServer:
         self._detach(job)
         job._state = _OUT
         del self._jobs[job]
+        self._ncopies -= job.copies
 
     def _advance(self) -> None:
         """Apply progress accrued since the last state change and finish
@@ -336,7 +358,7 @@ class FairShareServer:
             # moves the clocks runs the completion check below itself).
             return
         self._last_update = now
-        n = len(self._jobs)
+        n = self._ncopies
         if not n:
             return
         self._pop_integral += n * dt
@@ -360,7 +382,7 @@ class FairShareServer:
                     heappop(heap)
                     continue
                 rem = job.weight * (entry[0] - v)
-                if rem > _EPS * (job.work if job.work > 1.0 else 1.0):
+                if rem > job._tol:
                     break
                 due.append(heappop(heap))
                 if rem < 0.0:
@@ -374,7 +396,7 @@ class FairShareServer:
                     heappop(heap)
                     continue
                 rem = job._cap * (entry[0] - now)
-                if rem > _EPS * (job.work if job.work > 1.0 else 1.0):
+                if rem > job._tol:
                     break
                 due.append(heappop(heap))
                 if rem < 0.0:
@@ -387,7 +409,7 @@ class FairShareServer:
                 self._remove(job)
                 job._rem = 0.0
                 job.finished_at = now
-                self._jobs_completed += 1
+                self._jobs_completed += job.copies
                 job.done.succeed(job)
 
     def _settle(self) -> None:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.lint import ContextCache
+from repro.lint import ContextCache, Program
 
 
 @pytest.fixture(scope="session")
@@ -15,6 +15,14 @@ def lint_cache():
     each file once per session instead of once per test.
     """
     return ContextCache()
+
+
+@pytest.fixture(scope="session")
+def live_program(lint_cache):
+    """The whole-program call graph of the live tree, built once per
+    session from :func:`lint_cache` and shared by the tests that inspect
+    it and the deep-lint gate (``run_deep(program=...)``)."""
+    return Program.build(cache=lint_cache)
 
 
 @pytest.fixture

@@ -10,16 +10,19 @@ It is test-only: the differential test (``tests/test_fair_share_oracle.py``)
 drives it and the production station with the same random operation
 streams, and the determinism oracle runs the golden scenarios with it
 patched in.  Do not optimise it; its value is that it is simple.
+
+``copies=k`` is implemented literally: k ordinary jobs submitted one
+after another at the same instant, behind one :class:`Copies` handle.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Optional
+from typing import Any, Optional, Union
 
 from repro.sim.engine import Event, Simulator
 
-__all__ = ["Job", "FairShareServer"]
+__all__ = ["Job", "Copies", "FairShareServer"]
 
 _EPS = 1e-9
 
@@ -59,6 +62,19 @@ class Job:
     def __repr__(self) -> str:
         return (f"<Job tag={self.tag!r} remaining={self.remaining:.3g}/"
                 f"{self.work:.3g} rate={self._rate:.3g}>")
+
+
+class Copies:
+    """k identical jobs behind one handle.  Its ``done`` is the last copy's:
+    identical uncapped copies always share one rate, so they finish in the
+    same instant in submission order, and the last one's completion is
+    the handle's."""
+
+    __slots__ = ("jobs", "done")
+
+    def __init__(self, jobs: list[Job]) -> None:
+        self.jobs = jobs
+        self.done = jobs[-1].done
 
 
 class FairShareServer:
@@ -116,12 +132,19 @@ class FairShareServer:
         return self._jobs_completed
 
     def submit(self, work: float, weight: float = 1.0,
-               cap: Optional[float] = None, tag: Any = None) -> Job:
+               cap: Optional[float] = None, tag: Any = None,
+               copies: int = 1) -> Union[Job, Copies]:
         """Enter a job of ``work`` units; ``job.done`` fires at completion.
 
         ``cap`` bounds the rate this single job may receive (e.g. a WAN
-        client whose modem is slower than the server's link).
+        client whose modem is slower than the server's link).  ``copies=k``
+        submits k such jobs and returns them as one :class:`Copies`.
         """
+        if copies < 1:
+            raise ValueError(f"copies must be >= 1, got {copies}")
+        if copies > 1:
+            return Copies([self.submit(work, weight, cap, tag)
+                           for _ in range(copies)])
         if work < 0:
             raise ValueError(f"negative work: {work}")
         if weight <= 0:
@@ -137,8 +160,12 @@ class FairShareServer:
         self._reallocate()
         return job
 
-    def cancel(self, job: Job) -> None:
+    def cancel(self, job: Union[Job, Copies]) -> None:
         """Abort a job; its ``done`` event fails with ``InterruptedError``."""
+        if isinstance(job, Copies):
+            for copy in job.jobs:
+                self.cancel(copy)
+            return
         self._advance()
         if job in self._jobs:
             self._jobs.remove(job)

@@ -1,5 +1,7 @@
 """Unit tests for interconnect models (repro.cluster.network)."""
 
+import math
+
 import pytest
 
 from repro.cluster import FatTreeNetwork, Internet, Link, SharedBusNetwork, WANPath
@@ -140,6 +142,83 @@ def test_bus_rejects_bad_background_load():
     sim = Simulator()
     with pytest.raises(ValueError):
         SharedBusNetwork(sim, bandwidth=1.0, background_load=1.0)
+
+
+# ---------------------------------------------------------------- Multicast
+_FABRICS = {
+    "fat-tree": lambda sim: FatTreeNetwork(sim, nodes=5, bandwidth=10e6,
+                                           latency=1e-3),
+    "bus": lambda sim: SharedBusNetwork(sim, bandwidth=10e6, latency=1e-3),
+}
+
+
+@pytest.mark.parametrize("fabric", sorted(_FABRICS))
+def test_multicast_contract(fabric):
+    """Loopback arrives at once, cut peers never arrive and count as lost,
+    and the reachable copies land together in ``dsts`` order."""
+    sim = Simulator()
+    net = _FABRICS[fabric](sim)
+    net.partition([[0, 1, 3], [2, 4]])
+    log = []
+    net.multicast(0, [3, 0, 2, 1, 4], 1e4,
+                  lambda dst: log.append((dst, sim.now)), tag="loadd")
+    assert log == [(0, 0.0)]
+    sim.run()
+    assert [dst for dst, _ in log] == [0, 3, 1]
+    # Two copies share the source port (or the bus): 2e4 B at 10 MB/s.
+    assert [t for _, t in log[1:]] == [pytest.approx(1e-3 + 2e-3)] * 2
+    assert net.transfers_lost == 2
+    assert net.bytes_sent == 2e4
+
+
+@pytest.mark.parametrize("fabric", sorted(_FABRICS))
+def test_multicast_lands_when_per_peer_transfers_would(fabric):
+    """Under cross traffic a multicast delivers each copy at the time a
+    transfer per destination started at the same instant delivers it."""
+    def arrivals(use_multicast):
+        sim = Simulator()
+        net = _FABRICS[fabric](sim)
+        net.transfer(2, 3, 5e4)  # cross traffic on port 3 (and the bus)
+        log = {}
+        dsts = [1, 3, 4]
+        if use_multicast:
+            net.multicast(0, dsts, 2e4,
+                          lambda dst: log.setdefault(dst, sim.now))
+        else:
+            for dst in dsts:
+                net.transfer(0, dst, 2e4).callbacks.append(
+                    lambda ev, d=dst: log.setdefault(d, sim.now))
+        sim.run()
+        return log
+
+    got, want = arrivals(True), arrivals(False)
+    assert got.keys() == want.keys()
+    for dst in want:
+        assert got[dst] == pytest.approx(want[dst], rel=1e-12)
+
+
+@pytest.mark.parametrize("src, dsts", [(0, [1, 9]), (7, [1]), (0, [-1])])
+def test_fattree_multicast_bad_endpoint_has_no_side_effect(src, dsts):
+    sim = Simulator()
+    net = FatTreeNetwork(sim, nodes=4, bandwidth=10e6)
+    log = []
+    with pytest.raises(ValueError):
+        net.multicast(src, dsts, 128.0, log.append)
+    assert net.bytes_sent == 0.0
+    assert sim.peek() == math.inf  # nothing scheduled
+    assert log == []
+    assert all(port.njobs == 0 and port.jobs_completed == 0
+               for port in net.ports)
+
+
+@pytest.mark.parametrize("fabric", sorted(_FABRICS))
+def test_multicast_rejects_negative_size_before_sending(fabric):
+    sim = Simulator()
+    net = _FABRICS[fabric](sim)
+    log = []
+    with pytest.raises(ValueError):
+        net.multicast(0, [0, 1], -1.0, log.append)
+    assert log == [] and net.bytes_sent == 0.0 and sim.peek() == math.inf
 
 
 # ----------------------------------------------------------------- Internet

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cluster import meiko_cs2
+from repro.cluster import meiko_cs2, sun_now
 from repro.core import (
     AnalysisInputs,
     CostParameters,
@@ -32,6 +32,27 @@ def test_periodic_broadcasts_refresh_views():
     snap = cluster.views[0].get(2, now=10.0)
     assert snap is not None
     assert snap.timestamp > 5.0
+
+
+@pytest.mark.parametrize("spec, budget", [(sun_now(4), 7.1),
+                                          (meiko_cs2(6), 18.4)])
+def test_idle_broadcast_costs_a_constant_event_budget(spec, budget):
+    """On an idle cluster the kernel does nothing but loadd, so events per
+    broadcast is the fan-out's whole cost: the loadd process's own
+    timer and CPU job plus a constant number of events per fabric
+    endpoint (one shared bus job, or one job per fat-tree port)."""
+    cluster = SWEBCluster(spec, seed=1)
+    cluster.run(until=250.0)
+    broadcasts = sum(d.broadcasts for d in cluster.loadds.values())
+    assert cluster.sim.event_count / broadcasts <= budget
+    # Every view holds every node's latest report, no older than a period.
+    now = cluster.sim.now
+    for owner, view in cluster.views.items():
+        for node in cluster.nodes:
+            latest = cluster.views[node.id].get(node.id, now)
+            seen = view.get(node.id, now)
+            assert seen is not None and seen.timestamp == latest.timestamp
+            assert now - seen.timestamp <= cluster.params.loadd_period
 
 
 def test_departed_node_goes_stale_in_peer_views():

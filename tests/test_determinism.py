@@ -20,7 +20,12 @@ change must not need to do this, with one documented exception: the
 virtual-time fair-share station computes the same allocation as the
 original rescan station with different float arithmetic, so the golden was
 re-pinned once for it (only float bits moved, by at most ~2e-13
-relative).  That re-pin is backed by an independent oracle:
+relative).  The loadd fan-out that enters a broadcast's k bus copies as
+one ``copies=k`` station job re-pinned ``det-now`` once more: only its
+``records`` and ``finished_at`` floats moved, by at most 2e-13 relative,
+because one weight-k job splits the bus's virtual clock differently
+from k jobs of weight 1; every other field and scenario stayed
+byte-identical.  Both re-pins are backed by an independent oracle:
 :func:`test_reference_station_reproduces_golden` runs the same scenarios
 with the original station (``tests/fair_share_reference.py``) patched in
 and requires every non-float field to be identical to the golden and every

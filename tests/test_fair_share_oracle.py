@@ -7,10 +7,19 @@ that cross the binding boundary in both directions, cancels, and
 ``set_rate`` changes including a stall at rate 0 and its restore — and
 requires the same outcome from both: the same completed and cancelled
 sets, the same completion order, completion times within 1e-9 relative,
-and the same work, busy-time and population integrals.
+the same job count after every operation, and the same work, busy-time
+and population integrals and completed-job count.
+
+Submits are plain jobs (capped or not) or uncapped jobs with ``copies``
+in 2..5.  The reference implements
+``copies=k`` literally, as k ordinary jobs behind one handle, so the
+production station's single weight-k entry is checked against k real
+jobs sharing the server.
 """
 
 import math
+
+import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,11 +32,13 @@ REL = 1e-9
 
 _caps = st.one_of(st.none(), st.sampled_from([0.5, 1.0, 2.5, 4.0]),
                   st.floats(min_value=0.05, max_value=30.0))
-_submit = st.tuples(
-    st.just("submit"),
-    st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=100.0)),
-    st.sampled_from([0.5, 1.0, 1.0, 2.0, 3.5]),
-    _caps)
+_work = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=100.0))
+_weight = st.sampled_from([0.5, 1.0, 1.0, 2.0, 3.5])
+# (op, work, weight, cap, copies): copies of a capped job are rejected.
+_submit = st.one_of(
+    st.tuples(st.just("submit"), _work, _weight, _caps, st.just(1)),
+    st.tuples(st.just("submit"), _work, _weight, st.none(),
+              st.integers(min_value=2, max_value=5)))
 _cancel = st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=40))
 _rate = st.tuples(st.just("rate"),
                   st.one_of(st.just(0.0), st.sampled_from([1.0, 5.0, 12.0]),
@@ -55,6 +66,7 @@ def drive(server_cls, rate, ops, restore):
     jobs = []
     log = []
     cancelled = set()
+    counts = []
 
     def watch(index, job):
         def on_done(ev):
@@ -68,8 +80,9 @@ def drive(server_cls, rate, ops, restore):
         for delay, op in ops:
             yield sim.timeout(delay)
             if op[0] == "submit":
-                _, work, weight, cap = op
-                job = srv.submit(work, weight=weight, cap=cap, tag=len(jobs))
+                _, work, weight, cap, copies = op
+                job = srv.submit(work, weight=weight, cap=cap, tag=len(jobs),
+                                 copies=copies)
                 watch(len(jobs), job)
                 jobs.append(job)
             elif op[0] == "cancel":
@@ -77,14 +90,18 @@ def drive(server_cls, rate, ops, restore):
                     srv.cancel(jobs[op[1] % len(jobs)])
             else:
                 srv.set_rate(op[1])
+            counts.append(srv.njobs)
         yield sim.timeout(1.0)
         srv.set_rate(restore)
 
     sim.spawn(driver())
-    run_bounded(sim, 20 * len(ops) + 50)
+    # Budget per job, counting each of the reference's copies as a job.
+    run_bounded(sim, 20 * sum(op[4] if op[0] == "submit" else 1
+                              for _, op in ops) + 50)
     return {
         "log": log,
         "cancelled": cancelled,
+        "counts": counts,
         "njobs": srv.njobs,
         "jobs_completed": srv.jobs_completed,
         "work": srv.work_completed,
@@ -102,6 +119,7 @@ def assert_same(new, ref):
     for (i, t_new), (_, t_ref) in zip(new["log"], ref["log"]):
         assert close(t_new, t_ref), (i, t_new, t_ref)
     assert new["cancelled"] == ref["cancelled"]
+    assert new["counts"] == ref["counts"]
     assert new["njobs"] == ref["njobs"] == 0
     assert new["jobs_completed"] == ref["jobs_completed"]
     for key in ("work", "busy", "population"):
@@ -119,14 +137,45 @@ def test_virtual_time_station_matches_reference(rate, ops, restore):
 def test_caps_cross_binding_boundary_both_ways():
     """Capped jobs bind when a free job leaves and unbind when the rate
     drops below their caps; both stations agree step by step."""
-    ops = [(0.0, ("submit", 30.0, 1.0, 4.0)),
-           (0.0, ("submit", 30.0, 1.0, 4.0)),
-           (0.0, ("submit", 5.0, 1.0, None)),   # share 10/3 < cap: all free
-           (1.0, ("rate", 6.0)),                 # share 2 < cap
-           (2.0, ("rate", 20.0)),                # share 6.7 > cap: bind
-           (0.5, ("submit", 3.0, 2.0, None)),
+    ops = [(0.0, ("submit", 30.0, 1.0, 4.0, 1)),
+           (0.0, ("submit", 30.0, 1.0, 4.0, 1)),
+           (0.0, ("submit", 5.0, 1.0, None, 1)),  # share 10/3 < cap: all free
+           (1.0, ("rate", 6.0)),                   # share 2 < cap
+           (2.0, ("rate", 20.0)),                  # share 6.7 > cap: bind
+           (0.5, ("submit", 3.0, 2.0, None, 1)),
            (1.0, ("rate", 0.0)),                 # stall
            (3.0, ("rate", 5.0))]                 # unbind: 5 < sum of caps
     new = drive(FairShareServer, 10.0, ops, 10.0)
     assert_same(new, drive(ReferenceServer, 10.0, ops, 10.0))
     assert [i for i, _ in new["log"]] == [2, 3, 0, 1]
+
+
+def test_copies_share_like_separate_jobs():
+    """Three copies beside one plain job: each copy gets a quarter of the
+    rate, the copies' single handle fires when they all finish, and the
+    counters count every copy."""
+    ops = [(0.0, ("submit", 4.0, 1.0, None, 3)),
+           (0.0, ("submit", 8.0, 1.0, None, 1)),
+           (0.5, ("submit", 0.0, 1.0, None, 4))]   # zero work: done at once
+    new = drive(FairShareServer, 4.0, ops, 4.0)
+    assert_same(new, drive(ReferenceServer, 4.0, ops, 4.0))
+    assert new["log"] == [(2, 0.5), (0, 4.0), (1, pytest.approx(5.0))]
+    assert new["counts"] == [3, 4, 4]
+    assert new["jobs_completed"] == 8
+    assert new["population"] == pytest.approx(4 * 4.0 + 1.0)
+
+
+@pytest.mark.parametrize("server_cls", [FairShareServer, ReferenceServer])
+def test_copies_must_be_positive(server_cls):
+    srv = server_cls(Simulator(), rate=1.0)
+    for copies in (0, -2):
+        with pytest.raises(ValueError):
+            srv.submit(1.0, copies=copies)
+    assert srv.njobs == 0
+
+
+def test_capped_copies_are_rejected():
+    srv = FairShareServer(Simulator(), rate=1.0)
+    with pytest.raises(ValueError):
+        srv.submit(1.0, cap=0.5, copies=2)
+    assert srv.njobs == 0 and srv.jobs_completed == 0

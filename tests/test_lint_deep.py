@@ -10,7 +10,7 @@ import json
 from pathlib import Path
 
 from repro.cli import main as cli_main
-from repro.lint import ALL_DEEP_RULES, Program, find_repo_root, run_deep
+from repro.lint import ALL_DEEP_RULES, find_repo_root, run_deep
 from repro.lint.deep import baseline_key, load_baseline
 from repro.lint.engine import REPO_ROOT
 
@@ -256,13 +256,13 @@ def test_find_repo_root_falls_back_without_marker(tmp_path):
 
 # -- the whole-program model ----------------------------------------------
 
-def test_live_program_reaches_the_engine_entry_points(lint_cache):
-    program = Program.build(cache=lint_cache)
-    assert program.is_reachable("repro.sim.engine.Simulator.run")
-    assert "(entry point)" in program.explain("repro.sim.engine.Simulator.run")
+def test_live_program_reaches_the_engine_entry_points(live_program):
+    run = "repro.sim.engine.Simulator.run"
+    assert live_program.is_reachable(run)
+    assert "(entry point)" in live_program.explain(run)
     # a healthy graph: hundreds of functions, a sizeable reachable core
-    assert len(program.functions) > 400
-    assert len(program.sim_reachable) > 100
+    assert len(live_program.functions) > 400
+    assert len(live_program.sim_reachable) > 100
 
 
 def test_deep_rules_have_unique_names():
@@ -274,8 +274,8 @@ def test_deep_rules_have_unique_names():
 
 # -- the gate: the live tree is deep-clean --------------------------------
 
-def test_live_tree_is_deep_clean(lint_cache):
-    diags = run_deep(cache=lint_cache)
+def test_live_tree_is_deep_clean(live_program):
+    diags = run_deep(program=live_program)
     assert diags == [], "\n".join(d.format() for d in diags)
 
 
