@@ -94,6 +94,8 @@ class ClusterNetwork:
 
     #: advertised peak bandwidth of a single path, bytes/s (``b_net``)
     bandwidth: float
+    #: number of nodes; valid node ids are 0..nodes-1
+    nodes: int
     #: node id -> partition group id; None = fully connected
     _node_group: Optional[dict[int, int]] = None
     #: transfers dropped at a partition cut (diagnostic counter)
@@ -164,6 +166,16 @@ class ClusterNetwork:
         self.transfers_lost += 1
         return Event(sim)
 
+    def _check(self, endpoints: Iterable[int], nbytes: float) -> None:
+        """Raise ``ValueError`` for a node id outside ``0..nodes-1`` or a
+        negative size, before a transfer has any side effect."""
+        for node in endpoints:
+            if not 0 <= node < self.nodes:
+                raise ValueError(
+                    f"bad endpoint {node} (nodes={self.nodes})")
+        if nbytes < 0:
+            raise ValueError(f"negative transfer size: {nbytes}")
+
     def _fan_out(self, src: int, dsts: list[int], nbytes: float,
                  arrive: Callable[[int], None]) -> list[int]:
         """Deliver a multicast's loopback copy, drop its cut peers, and
@@ -205,10 +217,7 @@ class FatTreeNetwork(ClusterNetwork):
         self.bytes_sent = 0.0
 
     def transfer(self, src: int, dst: int, nbytes: float, tag: Any = None) -> Event:
-        if not (0 <= src < self.nodes and 0 <= dst < self.nodes):
-            raise ValueError(f"bad endpoints {src}->{dst} (nodes={self.nodes})")
-        if nbytes < 0:
-            raise ValueError(f"negative transfer size: {nbytes}")
+        self._check((src, dst), nbytes)
         if src == dst:
             # Loopback never touches the fabric.
             done = Event(self.sim)
@@ -235,12 +244,7 @@ class FatTreeNetwork(ClusterNetwork):
         ends and one job per destination port the receiving end; a copy
         arrives once both ends of its stream have finished."""
         dsts = list(dsts)
-        for dst in (src, *dsts):
-            if not 0 <= dst < self.nodes:
-                raise ValueError(
-                    f"bad endpoints {src}->{dst} (nodes={self.nodes})")
-        if nbytes < 0:
-            raise ValueError(f"negative transfer size: {nbytes}")
+        self._check((src, *dsts), nbytes)
         remote = self._fan_out(src, dsts, nbytes, arrive)
         if not remote:
             return
@@ -276,15 +280,18 @@ class FatTreeNetwork(ClusterNetwork):
 class SharedBusNetwork(ClusterNetwork):
     """Ethernet-style bus: every remote transfer shares one medium."""
 
-    def __init__(self, sim: Simulator, bandwidth: float,
+    def __init__(self, sim: Simulator, nodes: int, bandwidth: float,
                  latency: float = 0.5e-3, name: str = "ethernet",
                  background_load: float = 0.0) -> None:
+        if nodes < 1:
+            raise ValueError("need at least one node")
         if bandwidth <= 0:
             raise ValueError(f"bandwidth must be > 0, got {bandwidth}")
         if not 0.0 <= background_load < 1.0:
             raise ValueError(f"background_load must be in [0,1), got {background_load}")
         self.sim = sim
         self.name = name
+        self.nodes = nodes
         self.latency = float(latency)
         # The paper notes the UCSB Ethernet's effective bandwidth was low
         # because it was shared with other campus machines: model that as a
@@ -294,8 +301,7 @@ class SharedBusNetwork(ClusterNetwork):
         self.bytes_sent = 0.0
 
     def transfer(self, src: int, dst: int, nbytes: float, tag: Any = None) -> Event:
-        if nbytes < 0:
-            raise ValueError(f"negative transfer size: {nbytes}")
+        self._check((src, dst), nbytes)
         if src == dst:
             done = Event(self.sim)
             done.succeed(nbytes)
@@ -317,9 +323,9 @@ class SharedBusNetwork(ClusterNetwork):
         """Fan-out over the shared medium in O(1) kernel events: after one
         latency, a single ``copies=k`` bus job carries all k copies, which
         contend on the bus exactly as k separate transfers would."""
-        if nbytes < 0:
-            raise ValueError(f"negative transfer size: {nbytes}")
-        remote = self._fan_out(src, list(dsts), nbytes, arrive)
+        dsts = list(dsts)
+        self._check((src, *dsts), nbytes)
+        remote = self._fan_out(src, dsts, nbytes, arrive)
         if not remote:
             return
 

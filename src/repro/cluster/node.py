@@ -9,7 +9,7 @@ of the accounting for free.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any, Optional, Sequence
 
 from ..sim import Event, FairShareServer, Simulator
 from .disk import Disk
@@ -73,11 +73,27 @@ class Node:
     # -- CPU ----------------------------------------------------------------
     def compute(self, ops: float, category: str = "other", tag: Any = None) -> Event:
         """Charge ``ops`` operations to the CPU; fires when serviced."""
-        if ops < 0:
-            raise ValueError(f"negative ops: {ops}")
-        self.cpu_ops_by_category[category] = (
-            self.cpu_ops_by_category.get(category, 0.0) + ops)
-        return self.cpu.submit(ops, tag=tag or category).done
+        return self.compute_burst(((ops, category),), tag=tag)
+
+    def compute_burst(self, steps: Sequence[tuple[float, str]],
+                      tag: Any = None) -> Event:
+        """Run back-to-back CPU steps, each ``(ops, category)``, as one job.
+
+        Each step's ops are booked to its own category, and the CPU gets
+        one job of their sum.  Under processor sharing that job finishes
+        at the instant the steps run one after another would, so a burst
+        with nothing observed between its steps (the fork and parse of
+        the request pipeline) costs one station job, not one per step.
+        """
+        for ops, _ in steps:
+            if ops < 0:
+                raise ValueError(f"negative ops: {ops}")
+        book = self.cpu_ops_by_category
+        total = 0.0
+        for ops, category in steps:
+            book[category] = book.get(category, 0.0) + ops
+            total += ops
+        return self.cpu.submit(total, tag=tag or steps[0][1]).done
 
     def cpu_load(self) -> float:
         """Instantaneous run-queue length (jobs in service)."""

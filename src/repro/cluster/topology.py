@@ -103,7 +103,7 @@ class ClusterSpec:
                 latency=self.network_latency, name=f"{self.name}.net")
         elif self.network_kind == "bus":
             network = SharedBusNetwork(
-                sim, bandwidth=self.network_bandwidth,
+                sim, n, bandwidth=self.network_bandwidth,
                 latency=self.network_latency,
                 background_load=self.network_background_load,
                 name=f"{self.name}.net")

@@ -24,9 +24,21 @@ O(log n) instead of a rescan of all n jobs:
   (min-heap over free capped jobs).  Both moves only raise the level, so
   the two passes end at the max-min fair point.  Heap entries carry the
   job's epoch and are deleted lazily.
-* **One wake-up.**  At most one armed timer per station; it is re-armed
-  only when the earliest completion moves *earlier*.  A timer that fires
-  before anything is due just advances the clocks and re-arms.
+* **Exact wake-ups.**  Every change of state records the earliest
+  completion: its time ``_due``, its heap key and whether that job is
+  free or bound.  At most one wake-up is armed, at exactly ``_due``
+  (:meth:`Simulator.timeout_at`); it is re-armed only when ``_due`` moves
+  *earlier*.  A wake-up that finds its target due snaps ``V`` up to the
+  target's tag (a bound target's tag is the clock itself), so the target
+  finishes at the float the station computed, with no completion
+  tolerance and no rounding-early wake-up.  A wake-up whose target has
+  moved later (an arrival slowed it) just re-arms at ``_due``; one with
+  no target left (cancel, rate 0) arms nothing.  Every path that
+  advances the clocks (submit, cancel, ``set_rate``, a wake-up) skips the
+  completion scan while the clock is before ``_due``; from ``_due`` on
+  the scan finishes every job due within 4 ulps of the clock, measured
+  in time.  A wake-up is never armed closer than 4 ulps ahead, the
+  guard against a zero-delay livelock.
 
 On the NOW bus every WAN response is capped at the client's modem rate
 below its fair share, so bound jobs are the common case there, not an
@@ -69,7 +81,7 @@ class Job:
 
     __slots__ = ("server", "work", "weight", "cap", "tag", "copies", "done",
                  "submitted_at", "finished_at", "_state", "_key", "_epoch",
-                 "_seq", "_cap", "_bind_level", "_rem", "_tol")
+                 "_seq", "_cap", "_bind_level", "_rem")
 
     def __init__(self, server: "FairShareServer", work: float, weight: float,
                  cap: Optional[float], tag: Any, copies: int) -> None:
@@ -94,8 +106,6 @@ class Job:
         self._cap = _INF if cap is None else float(cap)
         self._bind_level = (self._cap + _EPS) / self.weight
         self._rem = self.work  # remaining work while out of service
-        # Completion tolerance: each copy's eps * max(work, 1), k times over.
-        self._tol = _EPS * (self.work if self.work > copies else copies)
 
     @property
     def remaining(self) -> float:
@@ -164,6 +174,11 @@ class FairShareServer:
         self._bound: list[_Entry] = []     # (T, seq, epoch, job)
         self._boundmax: list[_Entry] = []  # (-bind level, ...) bound jobs
         self._stale = 0  # detaches (stale heap entries) since compaction
+        # The earliest completion as of the last _settle: its time, its
+        # heap key (F when free, T when bound) and whether it is free.
+        self._due = _INF
+        self._due_key = 0.0
+        self._due_free = False
         # The single armed wake-up timer and the time it fires.
         self._wake_ev: Optional[Event] = None
         self._wake_at = _INF
@@ -349,8 +364,8 @@ class FairShareServer:
         self._ncopies -= job.copies
 
     def _advance(self) -> None:
-        """Apply progress accrued since the last state change and finish
-        every job that ran out of work, in submission order."""
+        """Apply progress accrued since the last state change and, once
+        the clock has reached ``_due``, finish every job that is due."""
         now = self.sim._now
         dt = now - self._last_update
         if dt <= 0:
@@ -369,24 +384,35 @@ class FairShareServer:
             self._vtime += level * dt
             served += level * self._wsum
         self._work_done += served * dt
-        # Finish the jobs within tolerance of their tags.  A job served
-        # past its tag (a wake-up floored at 4 ulps) gives back the excess.
+        if now < self._due:
+            return  # no job can have finished yet
+        # Finish the target and every job due within 4 ulps of the clock
+        # (measured in time), in submission order.  First snap V up to a
+        # free target's tag, so rounding in `level * dt` cannot leave the
+        # target a hair short.  A job served past its tag (a wake-up
+        # floored at 4 ulps) gives back the excess.
+        tol = 4.0 * math.ulp(now if now > 1.0 else 1.0)
         due: list[_Entry] = []
         if self._nfree:
-            heap = self._free
             v = self._vtime
+            if self._due_free and v < self._due_key:
+                # Every free job gets the snap's extra service.
+                self._work_done += self._wsum * (self._due_key - v)
+                self._vtime = v = self._due_key
+            slack = self._level * tol
+            heap = self._free
             while heap:
                 entry = heap[0]
                 job = entry[3]
                 if job._epoch != entry[2]:
                     heappop(heap)
                     continue
-                rem = job.weight * (entry[0] - v)
-                if rem > job._tol:
+                gap = entry[0] - v
+                if gap > slack:
                     break
                 due.append(heappop(heap))
-                if rem < 0.0:
-                    self._work_done += rem
+                if gap < 0.0:
+                    self._work_done += job.weight * gap
         if self._nbound:
             heap = self._bound
             while heap:
@@ -395,26 +421,26 @@ class FairShareServer:
                 if job._epoch != entry[2]:
                     heappop(heap)
                     continue
-                rem = job._cap * (entry[0] - now)
-                if rem > job._tol:
+                gap = entry[0] - now
+                if gap > tol:
                     break
                 due.append(heappop(heap))
-                if rem < 0.0:
-                    self._work_done += rem
-        if due:
-            if len(due) > 1:
-                due.sort(key=itemgetter(1))  # submission order
-            for entry in due:
-                job = entry[3]
-                self._remove(job)
-                job._rem = 0.0
-                job.finished_at = now
-                self._jobs_completed += job.copies
-                job.done.succeed(job)
+                if gap < 0.0:
+                    self._work_done += job._cap * gap
+        if len(due) > 1:
+            due.sort(key=itemgetter(1))  # submission order
+        for entry in due:
+            job = entry[3]
+            self._remove(job)
+            job._rem = 0.0
+            job.finished_at = now
+            self._jobs_completed += job.copies
+            job.done.succeed(job)
 
     def _settle(self) -> None:
-        """Restore the max-min fair allocation, then arm the wake-up for
-        the earliest completion if it is earlier than the one armed."""
+        """Restore the max-min fair allocation, record the earliest
+        completion as ``_due``, and arm a wake-up for it if that is
+        earlier than the one armed."""
         level = self._spare_level()
         # Heap tops bound every entry below them, stale ones included.
         if ((self._boundmax and -self._boundmax[0][0] >= level)
@@ -425,30 +451,37 @@ class FairShareServer:
         self._level = level
         if self._stale > len(self._jobs) + 64:
             self._compact()
-        delay = _INF
         now = self.sim._now
+        due = _INF
         if level > 0.0:
             heap = self._free
             while heap[0][3]._epoch != heap[0][2]:
                 heappop(heap)
-            delay = (heap[0][0] - self._vtime) / level
+            self._due_key = key = heap[0][0]
+            self._due_free = True
+            due = now + (key - self._vtime) / level
         if self._nbound:
             heap = self._bound
             while heap[0][3]._epoch != heap[0][2]:
                 heappop(heap)
-            if heap[0][0] - now < delay:
-                delay = heap[0][0] - now
-        if now + delay < self._wake_at:
-            # Floor the delay at the clock's float resolution: a delay below
-            # one ulp of `now` would not advance time, and the wake-up would
-            # re-arm itself forever (zero-dt livelock).
-            floor = 4.0 * math.ulp(max(1.0, now))
-            if delay < floor:
-                delay = floor
-            timer = self.sim.timeout(delay)
+            key = heap[0][0]
+            if key < due:
+                self._due_key = due = key
+                self._due_free = False
+        self._due = due
+        if due < self._wake_at:
+            # Never arm closer than 4 ulps of the clock: a wake-up that
+            # did not advance time could re-arm itself forever (zero-dt
+            # livelock).
+            floor = now + 4.0 * math.ulp(now if now > 1.0 else 1.0)
+            if due < floor:
+                if floor >= self._wake_at:
+                    return
+                due = floor
+            timer = self.sim.timeout_at(due)
             timer.callbacks.append(self._wake)
             self._wake_ev = timer
-            self._wake_at = now + delay
+            self._wake_at = due
 
     def _water_fill(self, level: float) -> float:
         """Move jobs across the cap boundary until the allocation is
@@ -501,6 +534,16 @@ class FairShareServer:
             return  # superseded by an earlier wake-up
         self._wake_ev = None
         self._wake_at = _INF
+        due = self._due
+        if self.sim._now < due:
+            # The target moved later since this wake-up was armed: nothing
+            # is due, so re-arm at it (if any is left) and touch nothing.
+            if due < _INF:
+                timer = self.sim.timeout_at(due)
+                timer.callbacks.append(self._wake)
+                self._wake_ev = timer
+                self._wake_at = due
+            return
         self._advance()
         self._settle()
 

@@ -147,13 +147,13 @@ class Event:
 
 
 class Timeout(Event):
-    """An event that fires ``delay`` time units after creation.
+    """An event that fires at a set simulated time.
 
-    Built only by :meth:`Simulator.timeout`, which sets every field
+    Built only by :meth:`Simulator.timeout_at`, which sets every field
     directly on a bare instance (no ``__init__`` frame on the hot path).
     """
 
-    __slots__ = ("delay",)
+    __slots__ = ()
 
 
 class Process(Event):
@@ -324,14 +324,23 @@ class Simulator:
         return Event(self)
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
-        """An event that fires ``delay`` time units from now.
+        """An event that fires ``delay`` time units from now."""
+        if delay < 0:
+            raise ValueError(f"negative timeout delay: {delay}")
+        return self.timeout_at(self._now + delay, value)
+
+    def timeout_at(self, when: float, value: Any = None) -> Timeout:
+        """An event that fires at the absolute time ``when``.
+
+        ``sim.now`` equals ``when`` exactly when it fires, so a fair-share
+        station's wake-up lands on the very float the station computed.
 
         Hot path: builds the :class:`Timeout` without an ``__init__``
         call frame (one frame per event adds up), setting every
         :class:`Event` field directly.
         """
-        if delay < 0:
-            raise ValueError(f"negative timeout delay: {delay}")
+        if not when >= self._now:  # also rejects NaN
+            raise ValueError(f"timeout_at({when}) lies before now={self._now}")
         ev = Timeout.__new__(Timeout)
         ev.sim = self
         pool = self._cb_pool
@@ -340,9 +349,8 @@ class Simulator:
         ev._ok = True
         ev._state = 1  # Event.TRIGGERED
         ev._defused = False
-        ev.delay = delay
         self._seq = seq = self._seq + 1
-        heappush(self._queue, (self._now + delay, NORMAL, seq, ev))
+        heappush(self._queue, (when, NORMAL, seq, ev))
         return ev
 
     def spawn(self, gen: ProcessGenerator, name: Optional[str] = None) -> Process:

@@ -166,20 +166,22 @@ class HTTPServer:
             t0 = self.sim.now
             sp = self._span(conn, "preprocess", "preprocessing")
             # fork the handling process, then parse the HTTP command,
-            # complete the pathname and determine permissions.
-            yield self.node.compute(self.params.fork_ops, category="fork")
+            # complete the pathname and determine permissions.  The two
+            # steps run back to back with nothing observed between them,
+            # so the CPU serves them as one job (Node.compute_burst).
             try:
-                request = HTTPRequest.parse(conn.raw_request)
+                request: Optional[HTTPRequest] = HTTPRequest.parse(
+                    conn.raw_request)
             except HTTPError:
-                yield self.node.compute(self.params.preprocess_ops,
-                                        category="parsing")
-                rec.add_phase("preprocessing", self.sim.now - t0)
+                request = None
+            yield self.node.compute_burst(
+                ((self.params.fork_ops, "fork"),
+                 (self.params.preprocess_ops, "parsing")))
+            rec.add_phase("preprocessing", self.sim.now - t0)
+            if request is None:
                 self._span_end(sp, error="bad_request")
                 yield from self._respond(conn, HTTPResponse(status=400))
                 return
-            yield self.node.compute(self.params.preprocess_ops,
-                                    category="parsing")
-            rec.add_phase("preprocessing", self.sim.now - t0)
             self._span_end(sp)
 
             if request.method == "POST" and self.params.enable_post:

@@ -101,7 +101,7 @@ def test_fattree_rejects_bad_endpoints():
 # ---------------------------------------------------------------------- Bus
 def test_bus_all_transfers_contend():
     sim = Simulator()
-    net = SharedBusNetwork(sim, bandwidth=10e6, latency=0.0)
+    net = SharedBusNetwork(sim, nodes=4, bandwidth=10e6, latency=0.0)
     log = []
 
     def go(src, dst):
@@ -117,7 +117,7 @@ def test_bus_all_transfers_contend():
 
 def test_bus_background_load_shrinks_bandwidth():
     sim = Simulator()
-    net = SharedBusNetwork(sim, bandwidth=10e6, latency=0.0, background_load=0.5)
+    net = SharedBusNetwork(sim, nodes=4, bandwidth=10e6, latency=0.0, background_load=0.5)
     assert net.bandwidth == pytest.approx(5e6)
     log = []
 
@@ -132,7 +132,7 @@ def test_bus_background_load_shrinks_bandwidth():
 
 def test_bus_node_load_is_global():
     sim = Simulator()
-    net = SharedBusNetwork(sim, bandwidth=10e6, latency=0.0)
+    net = SharedBusNetwork(sim, nodes=4, bandwidth=10e6, latency=0.0)
     net.transfer(0, 1, 10e6)
     sim.run(until=0.001)
     assert net.node_load(0) == net.node_load(3) == 1
@@ -141,14 +141,15 @@ def test_bus_node_load_is_global():
 def test_bus_rejects_bad_background_load():
     sim = Simulator()
     with pytest.raises(ValueError):
-        SharedBusNetwork(sim, bandwidth=1.0, background_load=1.0)
+        SharedBusNetwork(sim, nodes=4, bandwidth=1.0, background_load=1.0)
 
 
 # ---------------------------------------------------------------- Multicast
 _FABRICS = {
     "fat-tree": lambda sim: FatTreeNetwork(sim, nodes=5, bandwidth=10e6,
                                            latency=1e-3),
-    "bus": lambda sim: SharedBusNetwork(sim, bandwidth=10e6, latency=1e-3),
+    "bus": lambda sim: SharedBusNetwork(sim, nodes=5, bandwidth=10e6,
+                                        latency=1e-3),
 }
 
 
@@ -209,6 +210,24 @@ def test_fattree_multicast_bad_endpoint_has_no_side_effect(src, dsts):
     assert log == []
     assert all(port.njobs == 0 and port.jobs_completed == 0
                for port in net.ports)
+
+
+@pytest.mark.parametrize("fabric", sorted(_FABRICS))
+def test_nonexistent_node_ids_rejected_before_any_side_effect(fabric):
+    """Node ids 99 and -3 do not exist on a 5-node fabric: transfer and
+    multicast raise before they count bytes, schedule or deliver."""
+    sim = Simulator()
+    net = _FABRICS[fabric](sim)
+    arrived = []
+    for src, dst in ((0, 99), (99, 0), (-3, 1), (1, -3)):
+        with pytest.raises(ValueError):
+            net.transfer(src, dst, 10.0)
+    with pytest.raises(ValueError):
+        net.multicast(-3, [99, 1], 10.0, arrived.append)
+    with pytest.raises(ValueError):
+        net.multicast(0, [0, 1, 99], 10.0, arrived.append)
+    assert net.bytes_sent == 0.0
+    assert arrived == [] and sim.peek() == math.inf
 
 
 @pytest.mark.parametrize("fabric", sorted(_FABRICS))

@@ -25,7 +25,16 @@ one ``copies=k`` station job re-pinned ``det-now`` once more: only its
 ``records`` and ``finished_at`` floats moved, by at most 2e-13 relative,
 because one weight-k job splits the bus's virtual clock differently
 from k jobs of weight 1; every other field and scenario stayed
-byte-identical.  Both re-pins are backed by an independent oracle:
+byte-identical.  Exact station wake-ups (a wake-up lands on the float
+the station computed and finishes its target with no completion
+tolerance) and the request pipeline's fork and parse steps served as one
+CPU job re-pinned every scenario once more: no non-float field moved,
+floats by at most 2.3e-13 relative (4.3e-14 s absolute), and the
+``det-meiko``/``det-coop`` trace hashes changed with their float
+timestamps.  ``--regenerate`` prints this drift report (per scenario:
+non-float fields that differ, trace hashes changed, largest float
+difference) before it writes, so every re-pin can be audited.  All
+re-pins are backed by an independent oracle:
 :func:`test_reference_station_reproduces_golden` runs the same scenarios
 with the original station (``tests/fair_share_reference.py``) patched in
 and requires every non-float field to be identical to the golden and every
@@ -39,6 +48,7 @@ import math
 import re
 import sys
 from pathlib import Path
+from typing import Optional
 
 from repro.cluster import meiko_cs2, sun_now
 from repro.core.costmodel import CostParameters
@@ -208,25 +218,71 @@ def test_pre_geo_goldens_unchanged_with_geo_disabled():
             f"must be a strict no-op when disabled (docs/GEO.md)")
 
 
+def drift(old: object, new: object, where: str = "",
+          report: Optional[dict] = None) -> dict:
+    """How far fingerprint ``new`` is from ``old``.
+
+    ``fields`` counts the non-float values that differ (a string counts
+    once if its text outside the float literals differs; ``first`` says
+    where the first one is), ``hashes`` the changed trace hashes (trace
+    text holds float timestamps), and ``rel``/``abs`` are the largest
+    float differences (``worst`` says where the relative one is).
+    """
+    if report is None:
+        report = {"fields": 0, "first": None, "hashes": 0,
+                  "rel": 0.0, "abs": 0.0, "worst": None}
+    if where.endswith(".trace_sha256"):
+        report["hashes"] += old != new
+    elif (isinstance(old, dict) and isinstance(new, dict)
+          and old.keys() == new.keys()):
+        for key in old:
+            drift(old[key], new[key], f"{where}.{key}", report)
+    elif (isinstance(old, list) and isinstance(new, list)
+          and len(old) == len(new)):
+        for i, (a, b) in enumerate(zip(old, new)):
+            drift(a, b, f"{where}[{i}]", report)
+    elif (isinstance(old, str) and isinstance(new, str)
+          and _FLOAT.split(old) == _FLOAT.split(new)):
+        for a, b in zip(_FLOAT.findall(old), _FLOAT.findall(new)):
+            a, b = float(a), float(b)
+            if a == b:
+                continue
+            diff = abs(a - b)
+            if not math.isfinite(diff):  # inf against a finite value
+                drift(a, b, where, report)
+                continue
+            rel = diff / max(abs(a), abs(b))
+            report["abs"] = max(report["abs"], diff)
+            if rel > report["rel"]:
+                report["rel"], report["worst"] = rel, (where, a, b)
+    elif old != new:
+        report["fields"] += 1
+        if report["first"] is None:
+            report["first"] = (where, old, new)
+    return report
+
+
 def _assert_same_but_float_noise(new: object, ref: object, where: str) -> None:
     """``ref`` equals ``new`` except that float literals may differ by
     1e-12 relative; everything else must be identical."""
-    if isinstance(new, dict):
-        assert isinstance(ref, dict) and new.keys() == ref.keys(), where
-        for key in new:
-            _assert_same_but_float_noise(new[key], ref[key],
-                                         f"{where}.{key}")
-    elif isinstance(new, list):
-        assert isinstance(ref, list) and len(new) == len(ref), where
-        for i, (a, b) in enumerate(zip(new, ref)):
-            _assert_same_but_float_noise(a, b, f"{where}[{i}]")
-    elif isinstance(new, str) and isinstance(ref, str):
-        assert _FLOAT.split(new) == _FLOAT.split(ref), (where, new, ref)
-        for a, b in zip(_FLOAT.findall(new), _FLOAT.findall(ref)):
-            assert math.isclose(float(a), float(b), rel_tol=1e-12), (
-                where, a, b)
-    else:
-        assert new == ref, (where, new, ref)
+    report = drift(new, ref, where)
+    assert report["fields"] == 0, report["first"]
+    assert report["rel"] <= 1e-12, report["worst"]
+
+
+def test_drift_report_tells_float_noise_from_changes():
+    old = {"records": ["0 start=1.0 end=2.0 status=200", "1 end=inf"],
+           "trace_sha256": "ab12", "finished_at": "4.0"}
+    new = {"records": ["0 start=1.0 end=2.000000000001 status=200",
+                       "1 end=5.0"],
+           "trace_sha256": "cd34", "finished_at": "4.0"}
+    report = drift(old, new, "det")
+    assert report["hashes"] == 1
+    assert report["fields"] == 1 and report["first"][0] == "det.records[1]"
+    assert report["worst"][0] == "det.records[0]"
+    assert math.isclose(report["rel"], 5e-13, rel_tol=1e-3)
+    new["records"][0] = new["records"][0].replace("200", "503")
+    assert drift(old, new, "det")["fields"] == 2
 
 
 def test_reference_station_reproduces_golden(monkeypatch):
@@ -287,8 +343,17 @@ def _canonical_trace(text: str) -> list[tuple[str, float, str]]:
 
 if __name__ == "__main__":
     if "--regenerate" in sys.argv:
+        current = fingerprint()
+        if GOLDEN.exists():
+            old = json.loads(GOLDEN.read_text())
+            for name in sorted(old.keys() | current.keys()):
+                r = drift(old.get(name), current.get(name), name)
+                print(f"{name}: {r['fields']} non-float fields differ, "
+                      f"{r['hashes']} trace hashes changed, max float "
+                      f"difference {r['rel']:.3g} relative / "
+                      f"{r['abs']:.3g} absolute")
         GOLDEN.parent.mkdir(parents=True, exist_ok=True)
-        GOLDEN.write_text(json.dumps(fingerprint(), indent=1) + "\n")
+        GOLDEN.write_text(json.dumps(current, indent=1) + "\n")
         print(f"wrote {GOLDEN}")
     else:
         print(__doc__)

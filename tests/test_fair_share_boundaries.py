@@ -14,7 +14,7 @@ job finishes sooner than ``work / rate`` allows.
 import math
 import random
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.sim import FairShareServer, Simulator
@@ -78,6 +78,9 @@ def test_clock_near_1e9(jobs, rate):
 
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
        rate=st.floats(min_value=1.0, max_value=10.0))
+# A work-scaled completion tolerance finishes job 56 of this draw 1.1e-9
+# relative early; exact wake-ups land within 1e-14 of the exact answer.
+@example(seed=145753749, rate=1.0)
 @settings(max_examples=5, deadline=None)
 def test_long_busy_period_then_rebase(seed, rate):
     """Hundreds of overlapping jobs keep one busy period going, so the
@@ -97,7 +100,7 @@ def test_long_busy_period_then_rebase(seed, rate):
     check(srv, jobs, done, rate)
     assert srv.busy_integral() > 0.5 * sim.now  # one long busy stretch
     for (*_, end), (*_, ref_end) in zip(done, ref_done):
-        assert math.isclose(end, ref_end, rel_tol=1e-9)
+        assert math.isclose(end, ref_end, rel_tol=1e-12)
     start = sim.now + 1.0
     sim.run(until=start)
     job = srv.submit(7.0 * rate)

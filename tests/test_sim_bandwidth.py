@@ -267,3 +267,42 @@ def test_many_staggered_jobs_total_time_matches_total_work():
         sim.spawn(go(0.0, work))
     sim.run()
     assert max(finished) == pytest.approx(20.0 / 2.0)
+
+
+def test_lone_job_finishes_on_its_first_wake_up_exactly():
+    """The wake-up lands on the float the station computed and finishes
+    the job there: one wake-up event plus one ``done`` event, even at a
+    clock of ~2000 s where a 100 B job on a 40 MB/s port lasts a few
+    hundred ulps and ``V`` accrued over ``dt`` rounds short of the tag."""
+    t0 = 2000.1
+    sim = Simulator(start_time=t0)
+    srv = FairShareServer(sim, rate=40e6)
+    job = srv.submit(100.0)
+    sim.run()
+    assert sim.event_count == 2
+    assert job.finished_at == t0 + 100.0 / 40e6
+    assert srv.work_completed == 100.0
+
+
+def test_delayed_target_costs_one_early_wake_up():
+    """An arrival pushes the target later: the wake-up armed for the old
+    time fires, finishes nothing and re-arms at the new one, which
+    finishes the job."""
+    sim = Simulator()
+    srv = FairShareServer(sim, rate=1.0)
+    first = srv.submit(2.0)        # alone: due at t=2
+    late = []
+    sim.timeout(1.0).callbacks.append(
+        lambda ev: late.append(srv.submit(10.0)))
+    sim.step()                     # the arrival at t=1 halves its share
+    assert sim.now == 1.0 and first.rate == 0.5
+    sim.step()                     # the wake-up armed for t=2
+    assert sim.now == 2.0 and not first.done.triggered
+    sim.step()                     # re-armed at exactly t=3
+    assert sim.now == 3.0 and first.done.triggered
+    assert first.finished_at == 3.0
+    sim.run()
+    # arrival, two wake-ups and done for the first job; the second job
+    # (9 units left at t=3, alone) costs one wake-up and done at t=12
+    assert sim.event_count == 6
+    assert late[0].finished_at == 12.0

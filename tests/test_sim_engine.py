@@ -45,6 +45,36 @@ def test_negative_timeout_rejected():
         sim.timeout(-1.0)
 
 
+def test_timeout_at_fires_at_exactly_the_given_time():
+    sim = Simulator(start_time=0.1)
+    when = 2000.1 + 1.0 / 3.0
+    log = []
+    sim.timeout_at(when, value="x").callbacks.append(
+        lambda ev: log.append((sim.now, ev.value)))
+    sim.run()
+    assert log == [(when, "x")]
+
+
+def test_timeout_at_ties_break_like_timeout():
+    """Same priority as timeout(): equal times fire in creation order."""
+    sim = Simulator()
+    order = []
+    sim.timeout(2.0).callbacks.append(lambda ev: order.append("delay"))
+    sim.timeout_at(2.0).callbacks.append(lambda ev: order.append("at"))
+    sim.timeout_at(sim.now).callbacks.append(lambda ev: order.append("now"))
+    sim.run()
+    assert order == ["now", "delay", "at"]
+
+
+@pytest.mark.parametrize("when", [0.5, 1.0 - 1e-12, float("nan"),
+                                  float("-inf")])
+def test_timeout_at_rejects_the_past_and_nan(when):
+    sim = Simulator(start_time=1.0)
+    with pytest.raises(ValueError):
+        sim.timeout_at(when)
+    assert sim.peek() == float("inf")
+
+
 def test_fifo_order_for_simultaneous_events():
     sim = Simulator()
     order = []
